@@ -7,7 +7,15 @@
     arbitration; a packet's flits hold their output port(s) from head to
     tail (wormhole). Multicast replicates a flit to every branch port in
     the X-Y tree in the same cycle, stalling until all branches can accept
-    it. *)
+    it.
+
+    The core is flat and preallocated: router [r]'s port [p] is index
+    [r * 6 + p], each input queue is a fixed-capacity ring of
+    [queue_depth] slots, and output sets are bitmasks, so {!step}
+    allocates per packet (fork sub-lists, delivery records), never per
+    flit hop. Every router's round-robin arbitration starts at input
+    [cycles mod 6]. The behaviour is pinned cycle by cycle to the
+    reference model kept in the test suite (DESIGN.md §16). *)
 
 type t
 
@@ -19,7 +27,8 @@ val inject : t -> source -> Packet.t -> unit
 (** Queue a packet for injection (source queues are unbounded; the mesh
     drains them one flit per cycle per source). Multicast packets are
     split into unicasts automatically when the NoC was configured without
-    multicast support. *)
+    multicast support. Raises [Robust.Failure.Error (Invalid_input _)] on
+    a destination outside [-1 .. mesh_x * mesh_y - 1]. *)
 
 val step : t -> unit
 (** Advance one cycle. *)

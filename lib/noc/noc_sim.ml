@@ -153,11 +153,17 @@ let simulate_impl ?(max_steps = 48) ?(max_cycles = 20_000_000)
   (* packet bookkeeping *)
   let next_pkt = ref 0 in
   let packets = ref 0 in
-  let pkt_feed : (int, feed) Hashtbl.t = Hashtbl.create 64 in
   let dram_fetch_tag : (int, [ `Gb of feed | `Direct of feed ]) Hashtbl.t =
     Hashtbl.create 64
   in
-  let min_pe_step () = min steps (Array.fold_left min max_int pe_step) in
+  let min_pe_step () =
+    (* an int loop: [Stdlib.min] is polymorphic and calls the generic compare *)
+    let m = ref steps in
+    for pe = 0 to used - 1 do
+      if pe_step.(pe) < !m then m := pe_step.(pe)
+    done;
+    !m
+  in
   let needed (f : feed) s =
     max 1 (int_of_float (ceil (fi ((s + 1) * f.sends) /. fi steps)))
   in
@@ -185,7 +191,6 @@ let simulate_impl ?(max_steps = 48) ?(max_cycles = 20_000_000)
         let pkt =
           Packet.make ~id ~src:(-1) ~dests ~flits:f.flits ~tensor:f.tensor ~step:e
         in
-        Hashtbl.replace pkt_feed id f;
         f.deliveries_open <- f.deliveries_open + List.length dests;
         Mesh.inject mesh Mesh.Gb pkt)
       f.groups;
@@ -283,7 +288,8 @@ let simulate_impl ?(max_steps = 48) ?(max_cycles = 20_000_000)
       (fun (dst, (pkt : Packet.t)) ->
         match dst with
         | Mesh.Node node ->
-          let f = Hashtbl.find pkt_feed pkt.Packet.id in
+          (* output tiles travel only to the GB, so a node receives W or IA *)
+          let f = match pkt.Packet.tensor with Dims.W -> w_feed | _ -> ia_feed in
           let vi = Dims.tensor_index f.tensor in
           if node < used then arrived.(node).(vi) <- arrived.(node).(vi) + 1;
           f.deliveries_open <- f.deliveries_open - 1;

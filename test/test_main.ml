@@ -19,6 +19,7 @@ let () =
       Test_noc.suite;
       Test_robust.suite;
       Test_mesh_wormhole.suite;
+      Test_mesh_equiv.suite;
       Test_cosa.suite;
       Test_certify.suite;
       Test_decode.suite;

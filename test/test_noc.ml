@@ -236,6 +236,26 @@ let test_sim_cycle_budget_typed () =
     (Robust.Failure.Error Robust.Failure.Iteration_limit)
     (fun () -> ignore (Noc_sim.simulate ~max_steps:8 ~max_cycles:100 Spec.baseline m))
 
+(* The run polls its fault site and deadline every 256 simulated cycles;
+   the trivial mapping below runs for thousands, so the first poll stops it. *)
+let poll_mapping () = Cosa.trivial_mapping Spec.baseline (Zoo.find "3_14_256_256_1")
+
+let expect_failure want = function
+  | Error f when Robust.Failure.equal f want -> ()
+  | Error f -> Alcotest.fail ("unexpected failure: " ^ Robust.Failure.to_string f)
+  | Ok _ -> Alcotest.fail ("expected " ^ Robust.Failure.to_string want)
+
+let test_sim_poll_fault () =
+  let m = poll_mapping () in
+  expect_failure (Robust.Failure.Injected "noc.step")
+    (Robust.Fault.with_faults ~rate:1.0 ~only:[ "noc.step" ] 11 (fun () ->
+         Noc_sim.simulate_r ~max_steps:8 Spec.baseline m))
+
+let test_sim_poll_deadline () =
+  let m = poll_mapping () in
+  expect_failure Robust.Failure.Deadline_exceeded
+    (Noc_sim.simulate_r ~max_steps:8 ~deadline:(Robust.Deadline.after 0.) Spec.baseline m)
+
 let suite =
   ( "noc",
     [
@@ -255,6 +275,8 @@ let suite =
       Alcotest.test_case "sim deterministic" `Slow test_sim_deterministic;
       Alcotest.test_case "sim sampling" `Quick test_sim_sampling_extrapolates;
       Alcotest.test_case "sim cycle budget typed" `Quick test_sim_cycle_budget_typed;
+      Alcotest.test_case "sim poll: injected fault" `Quick test_sim_poll_fault;
+      Alcotest.test_case "sim poll: expired deadline" `Quick test_sim_poll_deadline;
       Alcotest.test_case "sim vs model" `Slow test_sim_slower_than_model;
     ] )
 
