@@ -14,23 +14,6 @@
 
 (* ---- machine-readable results ---------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.6g" x
-
 (* Counters of a snapshot as one JSON object (histograms are summarised by
    count and sum — enough for rate regressions without bucket noise).
    Never-touched metrics are suppressed: registered-but-zero counters and
@@ -42,14 +25,17 @@ let snapshot_json (s : Telemetry.Metrics.snapshot) =
     List.filter_map
       (fun (name, v) ->
         if v = 0 then None
-        else Some (Printf.sprintf "\"%s\":%d" (json_escape name) v))
+        else Some (Printf.sprintf "\"%s\":%d" (Telemetry.Trace.json_escape name) v))
       s.Telemetry.Metrics.counters
   in
   let gauges =
     List.filter_map
       (fun (name, v) ->
         if v = 0. then None
-        else Some (Printf.sprintf "\"%s\":%s" (json_escape name) (json_float v)))
+        else
+          Some
+            (Printf.sprintf "\"%s\":%s" (Telemetry.Trace.json_escape name)
+               (Telemetry.Export.json_float v)))
       s.Telemetry.Metrics.gauges
   in
   let hists =
@@ -58,8 +44,9 @@ let snapshot_json (s : Telemetry.Metrics.snapshot) =
         if h.Telemetry.Metrics.count = 0 then None
         else
           Some
-            (Printf.sprintf "\"%s\":{\"count\":%d,\"sum\":%s}" (json_escape name)
-               h.Telemetry.Metrics.count (json_float h.Telemetry.Metrics.sum)))
+            (Printf.sprintf "\"%s\":{\"count\":%d,\"sum\":%s}"
+               (Telemetry.Trace.json_escape name) h.Telemetry.Metrics.count
+               (Telemetry.Export.json_float h.Telemetry.Metrics.sum)))
       s.Telemetry.Metrics.histograms
   in
   Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":{%s}}"
@@ -178,7 +165,9 @@ let write_results path =
     @ List.filter (fun (k, _) -> not (List.mem k section_order)) kept
   in
   let sections =
-    List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) v) ordered
+    List.map
+      (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Telemetry.Trace.json_escape k) v)
+      ordered
   in
   let oc = open_out path in
   Fun.protect
@@ -199,7 +188,7 @@ let run_experiments () =
       Printf.printf "[%s completed in %.1f s]\n" e.Registry.id wall;
       exp_results :=
         Printf.sprintf "{\"id\":\"%s\",\"wall_s\":%s,\"telemetry\":%s}"
-          (json_escape e.Registry.id) (json_float wall)
+          (Telemetry.Trace.json_escape e.Registry.id) (Telemetry.Export.json_float wall)
           (snapshot_json (Telemetry.Metrics.snapshot ()))
         :: !exp_results;
       flush stdout)
@@ -303,8 +292,8 @@ let micro_benchmarks () =
           | Some [ ns ] ->
             Printf.printf "  %-32s %12.1f ns/run\n" name ns;
             micro_results :=
-              Printf.sprintf "{\"name\":\"%s\",\"ns_per_run\":%s}" (json_escape name)
-                (json_float ns)
+              Printf.sprintf "{\"name\":\"%s\",\"ns_per_run\":%s}"
+                (Telemetry.Trace.json_escape name) (Telemetry.Export.json_float ns)
               :: !micro_results
           | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
         analyzed)
@@ -368,10 +357,10 @@ let serve_benchmarks () =
       (Printf.sprintf
          "{\"cold_s\":%s,\"warm_s\":%s,\"warm_speedup\":%s,\"warm_hit_rate\":%s,\
           \"warm_identical\":%b,\"jobs_identical\":%b,\"telemetry\":%s}"
-         (json_float cold.Serve.Service.wall_time)
-         (json_float warm.Serve.Service.wall_time)
-         (json_float speedup)
-         (json_float (Serve.Schedule_cache.hit_rate cache))
+         (Telemetry.Export.json_float cold.Serve.Service.wall_time)
+         (Telemetry.Export.json_float warm.Serve.Service.wall_time)
+         (Telemetry.Export.json_float speedup)
+         (Telemetry.Export.json_float (Serve.Schedule_cache.hit_rate cache))
          (mappings cold = mappings warm)
          jobs_identical
          (snapshot_json (Telemetry.Metrics.snapshot ())));
@@ -607,7 +596,7 @@ let soak_round seed =
      \"faults_fired\":%d,\"p95_burst_s\":%s,\"persisted\":%d,\"wrong\":%d,\
      \"restart_from_cache\":%d,\"telemetry\":%s}"
     seed (List.length all) (List.length scheduled) rejected failed fired
-    (json_float p95_burst) s.Daemon.Server.persisted !wrong !from_cache
+    (Telemetry.Export.json_float p95_burst) s.Daemon.Server.persisted !wrong !from_cache
     (Telemetry.Export.metrics_json (Telemetry.Metrics.snapshot ()))
 
 let soak_benchmarks () =
@@ -619,7 +608,7 @@ let soak_benchmarks () =
   soak_result :=
     Some
       (Printf.sprintf "{\"fault_rate\":%s,\"rounds\":[%s]}"
-         (json_float soak_fault_rate)
+         (Telemetry.Export.json_float soak_fault_rate)
          (String.concat "," rounds));
   if !soak_failures > 0 then begin
     Printf.printf "soak: %d acceptance checks FAILED\n" !soak_failures;
@@ -848,7 +837,8 @@ let cluster_fastpath_check () =
   Printf.sprintf
     "{\"slow_wall_s\":%s,\"max_hit_wall_s\":%s,\"fastpath_served\":%d,\
      \"shard_hits\":[%s]}"
-    (json_float !slow_wall) (json_float max_wall) stats.Daemon.Server.fastpath_served
+    (Telemetry.Export.json_float !slow_wall) (Telemetry.Export.json_float max_wall)
+    stats.Daemon.Server.fastpath_served
     (String.concat "," (List.map string_of_int shard_hits))
 
 (* [B] one two-process chaos round under one fault seed. *)
@@ -1138,7 +1128,8 @@ let soak_cluster_benchmarks ?only_seed () =
         (Printf.sprintf
            "{\"fault_rate\":%s,\"fastpath\":%s,\"rounds\":[%s],\
             \"client_telemetry\":%s}"
-           (json_float cluster_fault_rate) fastpath (String.concat "," rounds)
+           (Telemetry.Export.json_float cluster_fault_rate) fastpath
+           (String.concat "," rounds)
            (snapshot_json snap));
     Telemetry.Metrics.reset ();
     Telemetry.Sink.set Telemetry.Sink.Null;
@@ -1298,10 +1289,10 @@ let fuse_benchmarks () =
            \"chain_independent_words\":%d,\"chain_fused_words\":%d,\
            \"savings_pct\":%s,\"network_independent_words\":%d,\
            \"network_fused_words\":%d,\"gated\":%b}"
-          (json_escape net.Network.nname)
+          (Telemetry.Trace.json_escape net.Network.nname)
           (List.length plan.Fuse.Plan.p_groups)
           (List.length fused) (List.length degraded) chain_ind
-          (chain_ind - chain_saved) (json_float savings_pct)
+          (chain_ind - chain_saved) (Telemetry.Export.json_float savings_pct)
           plan.Fuse.Plan.p_independent_dram_words plan.Fuse.Plan.p_fused_dram_words
           gated)
       nets
@@ -1338,7 +1329,7 @@ let fuse_benchmarks () =
     Some
       (Printf.sprintf
          "{\"gate_pct\":%s,\"networks\":[%s],\"dram_sim\":%s,\"telemetry\":%s}"
-         (json_float fuse_gate_pct)
+         (Telemetry.Export.json_float fuse_gate_pct)
          (String.concat "," net_frags)
          dram_frag
          (snapshot_json (Telemetry.Metrics.snapshot ())));
@@ -1424,8 +1415,9 @@ let warm_sweep () =
           \"warm_start_rate\":%s,\"warm\":{\"wall_s\":%s,\"telemetry\":%s},\
           \"cold\":{\"wall_s\":%s,\"telemetry\":%s}}"
          (List.length shapes) schedules_identical objectives_identical nodes_identical
-         (json_float iter_ratio) (json_float warm_rate) (json_float w_wall)
-         (snapshot_json w_snap) (json_float c_wall) (snapshot_json c_snap));
+         (Telemetry.Export.json_float iter_ratio) (Telemetry.Export.json_float warm_rate)
+         (Telemetry.Export.json_float w_wall) (snapshot_json w_snap)
+         (Telemetry.Export.json_float c_wall) (snapshot_json c_snap));
   Telemetry.Metrics.reset ();
   Telemetry.Sink.set Telemetry.Sink.Null;
   flush stdout

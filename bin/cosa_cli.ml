@@ -58,10 +58,6 @@ let warm_start_arg =
                never which schedule wins; $(b,off) exists for benchmarking and \
                bisection.")
 
-let refactor_interval_arg =
-  Arg.(value & opt (some int) None & info [ "refactor-interval" ] ~docv:"N"
-         ~doc:"Pin the simplex to a fixed basis-refactorization cadence (every                $(docv) eta updates) instead of the default stability triggers.                Changes wall time only, never the schedule; exists for                deterministic A/B bisection of suspected numerical drift.")
-
 let certify_arg =
   let certify_conv =
     Arg.enum [ ("off", Cosa.Off); ("warn", Cosa.Warn); ("strict", Cosa.Strict) ]
@@ -184,14 +180,14 @@ let schedule_cmd =
            ~doc:"Also write the schedule to $(docv) (cosa_cli evaluate reads it back).")
   in
   let run arch_name layer_name strategy save node_limit time_limit fault_seed fault_rate
-      certify warm_start refactor_interval trace metrics profile trace_ring =
+      certify warm_start trace metrics profile trace_ring =
     let arch = arch_of_name arch_name in
     let layer = find_layer layer_name in
     let r =
       with_telemetry ?ring:trace_ring trace metrics profile (fun () ->
           with_faults fault_seed fault_rate (fun () ->
               Cosa.schedule ~strategy ~node_limit ~time_limit ~certify ~warm_start
-                ?refactor_interval arch layer))
+                arch layer))
     in
     (match save with
      | Some path ->
@@ -226,8 +222,8 @@ let schedule_cmd =
   Cmd.v (Cmd.info "schedule" ~doc:"Produce a CoSA schedule for a layer and report it.")
     Term.(const run $ arch_arg $ layer_arg $ strategy_arg $ save_arg $ node_limit_arg
           $ time_limit_arg $ fault_seed_arg $ fault_rate_arg $ certify_arg
-          $ warm_start_arg $ refactor_interval_arg $ trace_arg $ metrics_arg
-          $ profile_arg $ trace_ring_arg)
+          $ warm_start_arg $ trace_arg $ metrics_arg $ profile_arg
+          $ trace_ring_arg)
 
 (* cosa_cli batch --network resnet50 --jobs 4 --cache-dir PATH *)
 let batch_cmd =

@@ -112,7 +112,7 @@ let trivial_mapping arch layer =
 
 let schedule_impl ?weights ?(strategy = Auto) ?(node_limit = 50_000) ?(time_limit = 4.)
     ?(deadline = Robust.Deadline.none) ?(heuristic_retries = 3) ?(certify = Warn)
-    ?(warm_start = true) ?refactor_interval arch layer =
+    ?(warm_start = true) arch layer =
   (* [warm_start] here toggles LP warm starting (parent-basis dual simplex)
      inside B&B; the MIP-start incumbent below reuses the name locally. *)
   let warm_lp_enabled = warm_start in
@@ -236,7 +236,7 @@ let schedule_impl ?weights ?(strategy = Auto) ?(node_limit = 50_000) ?(time_limi
       let res =
         Milp.Bb.solve ~node_limit ~time_limit:budget ~deadline:dl
           ~priority:f.Cosa_formulation.priority ~gap:0.05 ?warm_start
-          ~warm_lp:warm_lp_enabled ?refactor_interval f.Cosa_formulation.lp
+          ~warm_lp:warm_lp_enabled f.Cosa_formulation.lp
       in
       total_nodes := !total_nodes + res.Milp.Bb.nodes;
       last_status := res.Milp.Bb.status;
@@ -371,12 +371,12 @@ let schedule_impl ?weights ?(strategy = Auto) ?(node_limit = 50_000) ?(time_limi
 (* Public entry point: one "cosa.schedule" span per call, annotated with
    the layer, the serving rung, and the certification verdict. *)
 let schedule ?weights ?strategy ?node_limit ?time_limit ?deadline ?heuristic_retries
-    ?certify ?warm_start ?refactor_interval arch layer =
+    ?certify ?warm_start arch layer =
   Telemetry.Metrics.incr m_schedules;
   let sp = Telemetry.Trace.begin_span ~cat:"cosa" "cosa.schedule" in
   let r =
     schedule_impl ?weights ?strategy ?node_limit ?time_limit ?deadline
-      ?heuristic_retries ?certify ?warm_start ?refactor_interval arch layer
+      ?heuristic_retries ?certify ?warm_start arch layer
   in
   Telemetry.Trace.end_span
     ~args:

@@ -644,19 +644,13 @@ let handle_request t (admitted_rung : string ref) (req : Protocol.request) =
    finalizer — no RNG, so deterministic harnesses stay deterministic. *)
 let req_seq = Atomic.make 1
 
-let mix64 z =
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
 let mint_req_id () =
   let c = Atomic.fetch_and_add req_seq 1 in
   let t_us = Int64.of_float (Robust.Deadline.now () *. 1e6) in
-  let id = mix64 (Int64.logxor t_us (Int64.of_int ((Unix.getpid () lsl 24) lxor c))) in
+  let id =
+    Prim.Rng.mix64
+      (Int64.logxor t_us (Int64.of_int ((Unix.getpid () lsl 24) lxor c)))
+  in
   if id = 0L then 1L else id
 
 let target_string = function

@@ -36,7 +36,6 @@ val solve :
   ?gap:float ->
   ?warm_start:float array ->
   ?warm_lp:bool ->
-  ?refactor_interval:int ->
   Lp.model ->
   result
 (** Defaults: [node_limit = 200_000], [time_limit = 60.] seconds,
@@ -57,10 +56,7 @@ val solve :
     so the warm entry loads the inverse instead of refactorizing it);
     thanks to vertex canonicalization in the solver this is exactly
     behaviour-preserving — same tree, same node counts, bit-identical
-    schedules — so the toggle exists only for benchmarking.
-    [refactor_interval] pins a fixed eta-chain refactorization cadence in
-    every node LP in place of the solver's stability triggers — a
-    deterministic A/B knob for bisecting suspected numerical drift. *)
+    schedules — so the toggle exists only for benchmarking. *)
 
 val check_feasible : ?tol:float -> Lp.model -> float array -> bool
 (** Whether an assignment satisfies all bounds, integrality, and

@@ -143,10 +143,7 @@ let update t ~pivot_tol r alpha =
   let ap = Float.abs piv in
   if ap < t.min_pivot then t.min_pivot <- ap
 
-let trigger ?interval t =
-  match interval with
-  | Some n -> if t.etas >= max 1 n then Chain else No_refactor
-  | None ->
-    if t.etas > 0 && t.min_pivot < stability_pivot_floor then Stability
-    else if t.etas >= eta_chain_cap then Chain
-    else No_refactor
+let trigger t =
+  if t.etas > 0 && t.min_pivot < stability_pivot_floor then Stability
+  else if t.etas >= eta_chain_cap then Chain
+  else No_refactor

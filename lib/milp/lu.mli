@@ -7,9 +7,8 @@
     bookkeeping the solver uses to decide when the eta chain has grown
     stale: the chain length since the last refactorization and the smallest
     pivot magnitude absorbed into the chain. {!trigger} turns those into a
-    refactorize-now decision — either stability-driven (the default: chain
-    cap plus a pivot-magnitude floor) or pinned to a fixed cadence when the
-    caller wants deterministic A/B bisection.
+    refactorize-now decision: a chain-length cap plus a pivot-magnitude
+    floor.
 
     The kernels ([ftran], [btran], [apply]) perform exactly the same
     floating-point operations in the same order as the historical in-solver
@@ -88,16 +87,13 @@ val min_pivot : t -> float
 (** Why a refactorization is (or is not) due. *)
 type trigger =
   | No_refactor
-  | Chain  (** eta chain reached the length cap (or the pinned interval) *)
+  | Chain  (** eta chain reached the length cap *)
   | Stability  (** an absorbed pivot fell below the stability floor *)
 
-val trigger : ?interval:int -> t -> trigger
-(** Refactorization policy. With [interval = Some n] the decision is purely
-    cadence: [Chain] after every [max 1 n] eta updates, stability heuristics
-    off — the deterministic pin for A/B bisection. With no interval
-    (default): [Stability] as soon as any absorbed pivot magnitude is below
-    {!stability_pivot_floor}, else [Chain] once the chain reaches
-    {!eta_chain_cap}. *)
+val trigger : t -> trigger
+(** Refactorization policy: [Stability] as soon as any absorbed pivot
+    magnitude is below {!stability_pivot_floor}, else [Chain] once the
+    chain reaches {!eta_chain_cap}. *)
 
 val eta_chain_cap : int
 (** Default chain-length cap (64): past this, accumulated eta roundoff

@@ -94,6 +94,8 @@ let m_trig_residual = Telemetry.Metrics.counter "simplex.refactor_triggers.resid
 let m_factor_reuse = Telemetry.Metrics.counter "simplex.factor_reuses"
 let m_factor_hit = Telemetry.Metrics.counter "simplex.factor_cache_hits"
 let m_factor_ext = Telemetry.Metrics.counter "simplex.factor_extensions"
+let m_canon_truncated = Telemetry.Metrics.counter "simplex.canonicalize_truncated"
+let m_rebase_incomplete = Telemetry.Metrics.counter "simplex.rebase_incomplete"
 
 (* Location of a column: basic in some row, or nonbasic resting at a bound. *)
 type location = Basic of int | At_lower | At_upper | Free_zero
@@ -110,7 +112,6 @@ type state = {
   fac : Lu.t;                    (* incremental basis factorization engine *)
   xb : float array;              (* values of basic variables, by row *)
   xn : float array;              (* resting value of every column when nonbasic *)
-  interval : int option;         (* pinned refactor cadence (--refactor-interval) *)
   mutable loaded : Factor.t option;  (* canonical factor this solve entered from *)
   mutable degenerate_streak : int;
   mutable bland : bool;
@@ -148,12 +149,11 @@ let int_array_eq (a : int array) (b : int array) =
       with Exit -> false)
 
 (* Per-domain direct-mapped cache of canonical factorizations, keyed by the
-   physical column array and the sorted basic set (plus synthetic prefix
-   keys — see [chain_build]). Entries hold bits that are a pure function of
-   (columns, basic set), so a cache hit can never change a solve's answer —
-   hit/miss patterns affect wall time only, which keeps the jobs=1 ≡ jobs=4
-   determinism contract intact by construction. Domain-local storage avoids
-   both locks and cross-domain sharing. *)
+   physical column array and the sorted basic set. Entries hold bits that
+   are a pure function of (columns, basic set), so a cache hit can never
+   change a solve's answer — hit/miss patterns affect wall time only, which
+   keeps the jobs=1 ≡ jobs=4 determinism contract intact by construction.
+   Domain-local storage avoids both locks and cross-domain sharing. *)
 let cache_slots = 32749
 let cache_max_rows = 200
 
@@ -186,23 +186,6 @@ let sorted_key basis =
   let key = Array.copy basis in
   Array.sort (fun (a : int) b -> compare a b) key;
   key
-
-(* Second-touch filter for prefix memoization: most chain prefixes are
-   computed exactly once and never looked up again, so snapshotting each
-   one would waste an O(m²) copy per eta step. A prefix is materialized
-   into the factor cache only when the chain re-derives it a second time
-   (witnessed by a fingerprint table); storage policy affects wall time
-   only, never bits, so this cannot perturb determinism. *)
-let seen_fp_key : int array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make cache_slots 0)
-
-let prefix_fp m (sset : int array) d =
-  let h = ref (m * 0x9E3779B1) in
-  for i = 0 to d - 1 do
-    h := ((!h * 0x01000193) lxor sset.(i)) land max_int
-  done;
-  let fp = ((!h * 0x01000193) lxor d) land max_int in
-  if fp = 0 then 1 else fp
 
 let capture_factor st =
   let f =
@@ -247,11 +230,10 @@ let refactorize st ws =
   compute_xb st ws
 
 (* Stability trigger, consulted once per pivot: refactorize when the eta
-   chain is long or has absorbed a dangerously small pivot (or, with a
-   pinned [--refactor-interval], on a fixed cadence). Returns whether a
-   refactorization happened so the dual loop can reset its devex frame. *)
+   chain is long or has absorbed a dangerously small pivot. Returns whether
+   a refactorization happened so the dual loop can reset its devex frame. *)
 let maybe_refactor st ws =
-  match Lu.trigger ?interval:st.interval st.fac with
+  match Lu.trigger st.fac with
   | Lu.No_refactor -> false
   | Lu.Chain ->
     Telemetry.Metrics.incr m_trig_chain;
@@ -264,8 +246,8 @@ let maybe_refactor st ws =
 
 (* Row-residual audit, run at deadline checkpoints: ‖B xb + N xn − rhs‖∞
    relative to the rhs scale. Catches eta-chain drift that the per-pivot
-   magnitude test missed. Skipped under a pinned interval (the cadence is
-   then the experiment) and on a fresh factorization (nothing to fix). *)
+   magnitude test missed. Skipped on a fresh factorization (nothing to
+   fix). *)
 let residual_excess st ws =
   let m = st.m in
   let r = ws.wres in
@@ -292,8 +274,7 @@ let residual_excess st ws =
   !worst > residual_tol *. !scale
 
 let audit_residual st ws =
-  if st.interval = None && Lu.chain_length st.fac > 0 && residual_excess st ws
-  then begin
+  if Lu.chain_length st.fac > 0 && residual_excess st ws then begin
     Telemetry.Metrics.incr m_trig_residual;
     refactorize st ws;
     true
@@ -656,7 +637,9 @@ let dual_optimize st cost ws ~cap deadline =
    a unique face optimum, so both paths converge to the same vertex. *)
 
 (* Deterministic generic weight for column j in [1, 2) (splitmix64 hash):
-   no two columns share a weight, making ties measure-zero. *)
+   no two columns share a weight, making ties measure-zero. Not
+   [Prim.Rng.mix64]: this is a different (two-round) mixer, and swapping it
+   would move every canonical vertex and the perfbench golden digests. *)
 let canonical_weight j =
   let h = Int64.of_int (j + 1) in
   let h = Int64.mul h 0x9E3779B97F4A7C15L in
@@ -687,10 +670,12 @@ let canonicalize st cost ws deadline =
   st.bland <- false;
   st.degenerate_streak <- 0;
   (* bounded effort: a cleanup that stalls or roams an unbounded face just
-     keeps the vertex it reached — identity is gated empirically, never at
-     the cost of a solve failing *)
+     keeps the vertex it reached — identity is gated empirically (counted
+     as [simplex.canonicalize_truncated]), never at the cost of a solve
+     failing *)
   (try optimize st xi ws (st.iterations + 50 + (4 * st.m)) deadline
-   with Lp_unbounded | Lp_iteration_limit -> ());
+   with Lp_unbounded | Lp_iteration_limit ->
+     Telemetry.Metrics.incr m_canon_truncated);
   Array.blit frozen_lb 0 st.alb 0 st.ntot;
   Array.blit frozen_ub 0 st.aub 0 st.ntot
 
@@ -753,7 +738,6 @@ let rebase st ws =
   for j = 0 to st.ntot - 1 do
     if interior j then try_accept j
   done;
-  let interior_count = !count in
   for j = 0 to st.ntot - 1 do
     if not (interior j) then try_accept j
   done;
@@ -780,10 +764,11 @@ let rebase st ws =
     done;
     Array.blit accepted 0 st.basis 0 m
   end
-  else ignore interior_count
-(* a failed completion (cannot happen while the logical columns span the
-   row space) keeps the path-dependent basis: identity is gated
-   empirically, never at the cost of a solve failing *)
+  else
+    (* a failed completion (cannot happen while the logical columns span
+       the row space) keeps the path-dependent basis: identity is gated
+       empirically, never at the cost of a solve failing *)
+    Telemetry.Metrics.incr m_rebase_incomplete
 
 (* Canonicalize the logical columns to the warm path's uniform +1 sign
    before the final factorization: the cold crash path may have built a
@@ -804,41 +789,29 @@ let normalize_logicals st =
    never on which pivot path produced the basis or how rows happened to be
    assigned along the way. The canonical form (slot order and inverse
    bits) is the incremental chain of [chain_build], or the sorted-order
-   from-scratch elimination when a chain pivot is untrustworthy — both
+   from-scratch elimination when the chain does not apply — both
    functions of the set alone. Neither runs for a basis this domain has
    seen before: if the solve entered from this very factor (a no-pivot
    warm solve) or the per-domain cache holds it, the captured inverse is
    loaded instead — bit-identical to recomputation by construction.
-   Returns the canonical factor for handoff to child nodes. *)
-(* A brand-new canonical basis is almost never far from one already seen:
-   on the bench sweep, 88% of distinct canonical bases differ from a
-   previously finalized one in exactly one column (98% in at most two).
-   [chain_build] exploits this by *defining* the canonical factorization
-   constructively: starting from the identity (all-logical) basis, insert
-   the sorted basis columns slot by slot — column [basis.(r)] enters at
-   pivot row [r], an eta update — and memoize every intermediate prefix
-   (itself a valid basis: [basis.(0..k-1)] completed by logicals) in the
-   factor cache. A new basis then extends the deepest cached prefix with
-   a handful of eta updates instead of an O(m³) from-scratch elimination.
+   Returns the canonical factor for handoff to child nodes.
 
-   Determinism: the construction order and pivot rows are forced by the
-   sorted basis alone, so the resulting bits are a function of
-   (columns, basis set) — never of the pivot path, the cache contents, or
-   which sibling built a shared prefix first. A cache hit merely skips
-   re-deriving bits the chain would reproduce exactly. The forced pivot
-   has no freedom to reject small elements, so a step whose pivot falls
-   below [chain_floor] abandons the chain and the caller falls back to
-   the pivoting from-scratch elimination — a predicate of (columns,
-   basis) as well, keeping the fallback deterministic too. *)
+   Determinism of the chain: the construction order and pivot rows are
+   forced by the sorted basis alone, so the resulting bits are a function
+   of (columns, basis set) — never of the pivot path or the cache
+   contents. The forced pivot has no freedom to reject small elements, so
+   a step whose pivot falls below [chain_floor] abandons the chain and the
+   caller falls back to the pivoting from-scratch elimination — a
+   predicate of (columns, basis) as well, keeping the fallback
+   deterministic too. *)
 let chain_floor = 1e-6
 
-(* The chain build costs ~2x a from-scratch elimination when no prefix is
-   cached (two O(m²) passes plus an O(m²) snapshot per column, against the
-   single elimination), so it only wins where bases repeat heavily across
-   a branch-and-bound tree — the small node LPs. Larger problems (the
-   joint one-shot formulations) see each basis about once; they keep the
-   plain elimination. The cutoff depends on the problem dimension alone,
-   so which canonical form a basis gets stays path-independent. *)
+(* The chain costs about one from-scratch elimination (an FTRAN and an
+   O(m²) eta update per structural column). It stays the canonical form of
+   the small node LPs because replacing it would move the canonical bits
+   of every such basis; larger problems (the joint one-shot formulations)
+   keep the plain elimination. The cutoff depends on the problem dimension
+   alone, so which canonical form a basis gets stays path-independent. *)
 let chain_max_rows = 32
 
 (* [chain_build st ws]: called with [st.basis] holding the sorted basic
@@ -854,16 +827,7 @@ let chain_max_rows = 32
    update. Finally the set's own logical columns are swapped into the
    leftover rows (ascending to ascending). Every choice is forced by the
    (columns, basic set) pair, so the resulting bits — and the slot order —
-   are path-independent, as the canonicalization contract requires.
-
-   Each structural prefix is memoized in the factor cache under a
-   synthetic key (the first d structurals, padded with -1, which no real
-   basis can equal): sibling bases in a branch-and-bound tree differ from
-   one another in one or two columns, so they share deep prefixes, and a
-   brand-new basis usually costs a couple of eta extensions instead of an
-   O(m³) elimination. Cache state affects only where rebuilding starts,
-   never the bits: a cached prefix holds exactly the bits the chain would
-   re-derive. *)
+   are path-independent, as the canonicalization contract requires. *)
 let chain_build st ws =
   let m = st.m and ncols = st.p.ncols in
   if m > chain_max_rows then false
@@ -873,34 +837,15 @@ let chain_build st ws =
     let nstr = ref 0 in
     while !nstr < m && sset.(!nstr) < ncols do incr nstr done;
     let k = !nstr in
-    (* deepest cached structural prefix, probing top-down *)
-    let key = Array.make m (-1) in
-    Array.blit sset 0 key 0 k;
-    let depth = ref k and seed = ref None in
-    while !seed = None && !depth > 0 do
-      (match lookup_factor st.p m key with
-       | Some f -> seed := Some f
-       | None ->
-         decr depth;
-         key.(!depth) <- -1)
+    let id = ws.wmat in
+    for i = 0 to m - 1 do
+      Array.fill id.(i) 0 m 0.;
+      id.(i).(i) <- 1.
     done;
-    let b = Array.make m 0 in
-    (match !seed with
-     | Some f ->
-       Lu.load st.fac f.Factor.f_binv;
-       Array.blit f.Factor.f_basis 0 b 0 m
-     | None ->
-       let id = ws.wmat in
-       for i = 0 to m - 1 do
-         Array.fill id.(i) 0 m 0.;
-         id.(i).(i) <- 1.
-       done;
-       Lu.load st.fac id;
-       for r = 0 to m - 1 do
-         b.(r) <- ncols + r
-       done);
+    Lu.load st.fac id;
+    let b = Array.init m (fun r -> ncols + r) in
     let ok = ref true in
-    let d = ref !depth in
+    let d = ref 0 in
     while !ok && !d < k do
       let j = sset.(!d) in
       Lu.ftran st.fac st.acols.(j) ws.walpha;
@@ -915,18 +860,7 @@ let chain_build st ws =
         Lu.update st.fac ~pivot_tol !best ws.walpha;
         Telemetry.Metrics.incr m_factor_ext;
         b.(!best) <- j;
-        incr d;
-        let fp = prefix_fp m sset !d in
-        let seen = Domain.DLS.get seen_fp_key in
-        let slot = fp mod cache_slots in
-        if seen.(slot) = fp then begin
-          let pk = Array.make m (-1) in
-          Array.blit sset 0 pk 0 !d;
-          store_factor
-            { Factor.f_cols = st.p.cols; f_nrows = m; f_key = pk;
-              f_basis = Array.copy b; f_binv = Lu.snapshot st.fac }
-        end
-        else seen.(slot) <- fp
+        incr d
       end
     done;
     (* swap the set's logicals into the leftover rows: a wanted logical
@@ -1023,7 +957,7 @@ let basis_of_state st =
    would have succeeded cold. *)
 exception Warm_reject
 
-let warm_attempt ~max_iterations ~deadline ~interval ws p (wb : Basis.t) wfac =
+let warm_attempt ~max_iterations ~deadline ws p (wb : Basis.t) wfac =
   let m = p.nrows in
   let ntot = p.ncols + m in
   if Array.length wb.Basis.basic <> m || Array.length wb.Basis.vstat <> ntot then
@@ -1074,8 +1008,7 @@ let warm_attempt ~max_iterations ~deadline ~interval ws p (wb : Basis.t) wfac =
   done;
   let st =
     { p; m; ntot; acols; alb; aub; loc; basis;
-      fac = Lu.create m; xb = Array.make m 0.; xn;
-      interval; loaded = None;
+      fac = Lu.create m; xb = Array.make m 0.; xn; loaded = None;
       degenerate_streak = 0; bland = false; iterations = 0 }
   in
   let phase2_cost = Array.make ntot 0. in
@@ -1084,34 +1017,25 @@ let warm_attempt ~max_iterations ~deadline ~interval ws p (wb : Basis.t) wfac =
      more than this is cheaper to restart cold than to let cycle *)
   let dual_cap = 200 + (2 * (m + ntot)) in
   try
-    (* Entry factorization: the parent's canonical factor (handed down
-       explicitly or found in the per-domain cache) is bit-valid for this
-       child — the basis matrix ignores bounds — so loading it replaces
-       the O(m³) entry refactorization with an O(m²) copy. The fallback
-       refactorizes and captures, feeding the cache for siblings. *)
-    (let seeded =
-       match wfac with
-       | Some f
-         when f.Factor.f_cols == p.cols && f.Factor.f_nrows = m
-              && int_array_eq f.Factor.f_basis basis ->
-         Some f
-       | _ -> (
-         (* the factor's slot order must match the warm basis exactly: a
-            caller-supplied basis in a non-canonical order must not seed
-            from a canonical-order cache entry *)
-         match lookup_factor p m (sorted_key basis) with
-         | Some f when int_array_eq f.Factor.f_basis basis -> Some f
-         | _ -> None)
-     in
-     match seeded with
-     | Some f ->
+    (* Entry factorization: the parent's canonical factor, handed down by
+       the caller, is bit-valid for this child — the basis matrix ignores
+       bounds — so loading it replaces the O(m³) entry refactorization
+       with an O(m²) copy. Without one the entry refactorizes; that
+       factor is kept for [finalize] only where it is canonical (the
+       sorted-order elimination above the chain cutoff), so the cache
+       never holds anything but canonical bits. *)
+    (match wfac with
+     | Some f
+       when f.Factor.f_cols == p.cols && f.Factor.f_nrows = m
+            && int_array_eq f.Factor.f_basis basis ->
        Telemetry.Metrics.incr m_factor_reuse;
        Lu.load st.fac f.Factor.f_binv;
        compute_xb st ws;
        st.loaded <- Some f
-     | None ->
+     | _ ->
        refactorize st ws;
-       st.loaded <- Some (capture_factor st));
+       if m > chain_max_rows && int_array_eq basis (sorted_key basis) then
+         st.loaded <- Some (capture_factor st));
     check_health st;
     dual_optimize st phase2_cost ws ~cap:dual_cap deadline;
     let dual_iters = st.iterations in
@@ -1145,7 +1069,7 @@ let warm_attempt ~max_iterations ~deadline ~interval ws p (wb : Basis.t) wfac =
 
 (* ---- cold path --------------------------------------------------------- *)
 
-let cold_solve ~max_iterations ~deadline ~interval ws p =
+let cold_solve ~max_iterations ~deadline ws p =
   let m = p.nrows in
   let ntot = p.ncols + m in
   let acols = Array.make ntot ([||], [||]) in
@@ -1217,8 +1141,7 @@ let cold_solve ~max_iterations ~deadline ~interval ws p =
   done;
   let st =
     { p; m; ntot; acols; alb; aub; loc; basis;
-      fac = Lu.of_matrix m binv; xb; xn;
-      interval; loaded = None;
+      fac = Lu.of_matrix m binv; xb; xn; loaded = None;
       degenerate_streak = 0; bland = false; iterations = 0 }
   in
   let phase1_cost = Array.make ntot 0. in
@@ -1283,7 +1206,7 @@ let cold_solve ~max_iterations ~deadline ~interval ws p =
    [Error]; [Unbounded]/[Infeasible]/[Iteration_limit] remain ordinary
    statuses because branch-and-bound treats them as prunable outcomes. *)
 let solve_r_impl ?max_iterations ?(deadline = Robust.Deadline.none) ?warm
-    ?warm_factor ?refactor_interval p =
+    ?warm_factor p =
   let m = p.nrows in
   let max_iterations =
     match max_iterations with
@@ -1315,10 +1238,7 @@ let solve_r_impl ?max_iterations ?(deadline = Robust.Deadline.none) ?warm
       match warm with
       | None -> None
       | Some wb ->
-        (match
-           warm_attempt ~max_iterations ~deadline ~interval:refactor_interval
-             ws p wb warm_factor
-         with
+        (match warm_attempt ~max_iterations ~deadline ws p wb warm_factor with
          | res ->
            Telemetry.Metrics.incr m_warm;
            Some res
@@ -1330,16 +1250,15 @@ let solve_r_impl ?max_iterations ?(deadline = Robust.Deadline.none) ?warm
     | Some res -> res
     | None ->
       Telemetry.Metrics.incr m_cold;
-      cold_solve ~max_iterations ~deadline ~interval:refactor_interval ws p
+      cold_solve ~max_iterations ~deadline ws p
   end
 
 (* Public entry point: one span (category "simplex") and one solve-count
    tick per LP; phase iteration counters are recorded inside the solve. *)
-let solve_r ?max_iterations ?deadline ?warm ?warm_factor ?refactor_interval p =
+let solve_r ?max_iterations ?deadline ?warm ?warm_factor p =
   Telemetry.Metrics.incr m_solves;
   Telemetry.Trace.with_span ~cat:"simplex" "simplex.solve" (fun () ->
-      solve_r_impl ?max_iterations ?deadline ?warm ?warm_factor
-        ?refactor_interval p)
+      solve_r_impl ?max_iterations ?deadline ?warm ?warm_factor p)
 
 (* Legacy exception-raising wrapper: raises [Robust.Failure.Error] where
    [solve_r] would return [Error]. Prefer [solve_r] in new code. *)

@@ -18,23 +18,21 @@
     refactorization only runs when a stability trigger demands it — the
     eta chain hit its length cap, a pivot magnitude fell below the
     stability floor, or a row-residual audit at a deadline checkpoint
-    detected drift (or on a fixed cadence when [refactor_interval] pins
-    one for A/B bisection). Across solves, canonical factorizations are
-    reused rather than recomputed: an optimal solve returns its
-    {!Factor.t}, which a child LP accepts via [warm_factor] (the basis
-    matrix does not depend on variable bounds, so the parent's inverse is
-    bit-valid for the child), and a per-domain cache short-circuits the
-    canonicalization epilogue's refactorization for bases the domain has
-    already factorized. Bases not yet cached are built by canonical
-    prefix-chain factorization — eta-extending the deepest cached prefix
-    of the basis set, inserting structural columns in a canonically
-    determined order — so small node-LP bases almost never pay a
-    from-scratch factorization at all. The canonical factor of a basis is
-    a function of the basis set alone, and all reuse paths load inverses
-    that are bit-identical to recomputation, so warm/cold byte-identity
-    and cross-worker determinism are preserved by construction; cache
-    state moves wall time only. The dual pivot loop prices leaving rows
-    with devex reference-framework weights. *)
+    detected drift. Across solves, canonical factorizations are reused
+    rather than recomputed: an optimal solve returns its {!Factor.t},
+    which a child LP accepts via [warm_factor] (the basis matrix does not
+    depend on variable bounds, so the parent's inverse is bit-valid for
+    the child), and a per-domain cache of whole-basis factors
+    short-circuits the canonicalization epilogue for bases the domain has
+    already factorized. Small node-LP bases not yet cached are factorized
+    by a canonical chain — eta updates from the identity, inserting the
+    structural columns in a canonically determined order — and larger
+    ones by sorted-order elimination. The canonical factor of a basis is a
+    function of the basis set alone, and every reuse path loads an inverse
+    bit-identical to recomputation, so warm/cold byte-identity and
+    cross-worker determinism hold by construction; cache state moves wall
+    time only. The dual pivot loop prices leaving rows with devex
+    reference-framework weights. *)
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit
 
@@ -115,7 +113,6 @@ val solve_r :
   ?deadline:Robust.Deadline.t ->
   ?warm:Basis.t ->
   ?warm_factor:Factor.t ->
-  ?refactor_interval:int ->
   problem ->
   (result, Robust.Failure.t) Stdlib.result
 (** Result-returning entry point. Defaults to a generous iteration cap
@@ -136,13 +133,10 @@ val solve_r :
 
     [warm_factor] additionally hands the parent's canonical factorization
     down so the warm entry loads it (O(m²)) instead of refactorizing
-    (O(m³)). It is validated against the problem and [warm] basis and is
-    bit-identical to recomputation, so supplying it never changes any
-    result — only wall time. Ignored without [warm].
-
-    [refactor_interval] pins a fixed refactorization cadence (every [n]
-    eta updates) in place of the default stability triggers — a
-    deterministic knob for A/B bisection of suspected instability.
+    (O(m³)); without it the warm entry always refactorizes. It is
+    validated against the problem and [warm] basis and is bit-identical to
+    recomputation, so supplying it never changes any result — only wall
+    time. Ignored without [warm].
 
     [Error] covers abnormal terminations only — [Singular_basis] (cold
     path), [Deadline_exceeded], [Numerical_instability] (NaN/Inf detected

@@ -6,12 +6,14 @@ let create seed = { state = Int64.of_int seed }
 let copy t = { state = t.state }
 
 (* SplitMix64 (Steele et al.): state += golden; mix with xor-shifts. *)
-let int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let int64 t =
+  t.state <- Int64.add t.state golden;
+  mix64 t.state
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";

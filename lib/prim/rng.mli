@@ -12,7 +12,13 @@ val create : int -> t
 val copy : t -> t
 
 val int64 : t -> int64
-(** Next raw 64-bit output. *)
+(** Next raw 64-bit output: {!mix64} of the state after adding the golden
+    gamma [0x9E3779B97F4A7C15]. *)
+
+val mix64 : int64 -> int64
+(** The SplitMix64 output finalizer, a bijection on 64-bit values. Use it
+    to hash a seed-free value (a clock, a pid, a counter) to well-spread
+    bits without a generator. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument] when

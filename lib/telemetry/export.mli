@@ -16,5 +16,10 @@ val metrics_json : Metrics.snapshot -> string
     Histogram quantiles are bucket-upper-bound estimates
     (see [Metrics.hist_quantile]). *)
 
+val json_float : float -> string
+(** A float as a JSON number: integers below 1e15 without a fraction,
+    others with 9 significant digits, and non-finite values (which JSON
+    cannot express) as [0]. *)
+
 val mangle : string -> string
 (** The name mangling used by {!prometheus}. *)

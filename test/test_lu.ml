@@ -140,9 +140,8 @@ let test_stability_trigger () =
   Alcotest.(check bool) "refactor resets the trigger" true
     (Lu.trigger lu = Lu.No_refactor)
 
-(* The chain-length cap fires after eta_chain_cap benign updates, and a
-   pinned interval replaces it. *)
-let test_chain_and_interval () =
+(* The chain-length cap fires after exactly eta_chain_cap benign updates. *)
+let test_chain_cap () =
   let m = 2 in
   let lu = Lu.create m in
   let cols = sparse_of_dense [| [| 1.; 0. |]; [| 0.; 1. |] |] in
@@ -154,9 +153,6 @@ let test_chain_and_interval () =
   done;
   Alcotest.(check bool) "below the cap: no refactor" true
     (Lu.trigger lu = Lu.No_refactor);
-  (* a pinned interval fires much earlier on the same chain *)
-  Alcotest.(check bool) "pinned interval fires below the cap" true
-    (Lu.trigger ~interval:5 lu = Lu.Chain);
   Lu.update lu ~pivot_tol 0 [| 1.; 0. |];
   (match Lu.trigger lu with
    | Lu.Chain -> ()
@@ -164,9 +160,36 @@ let test_chain_and_interval () =
   Alcotest.(check (float 0.)) "benign pivots leave min_pivot at 1" 1.
     (Lu.min_pivot lu)
 
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v) a b
+
+let same_result (a : Milp.Simplex.result) (b : Milp.Simplex.result) =
+  same_bits a.Milp.Simplex.x b.Milp.Simplex.x
+  && Int64.bits_of_float a.Milp.Simplex.obj = Int64.bits_of_float b.Milp.Simplex.obj
+  && a.Milp.Simplex.basis = b.Milp.Simplex.basis
+
+let solve_ok ?warm ?warm_factor what p =
+  match Milp.Simplex.solve_r ?warm ?warm_factor p with
+  | Ok r -> r
+  | Error _ -> Alcotest.fail what
+
+(* Run [f] with an armed, zeroed metrics sink; return its result and a
+   counter reader over what it recorded. *)
+let with_counters f =
+  Telemetry.Sink.set Telemetry.Sink.Memory;
+  Fun.protect ~finally:(fun () -> Telemetry.Sink.set Telemetry.Sink.Null)
+  @@ fun () ->
+  Telemetry.Metrics.reset ();
+  let r = f () in
+  let snap = Telemetry.Metrics.snapshot () in
+  (r, Telemetry.Metrics.counter_value snap)
+
 (* End-to-end: a warm child solve fed the parent's canonical factor must
    return bit-identical results to the same solve without it, and must not
-   refactorize at all when the parent optimum survives the bound change. *)
+   refactorize at all when the parent optimum survives the bound change.
+   Without the factor the warm entry refactorizes exactly once: the
+   per-domain cache is consulted only for the final basis, never at entry. *)
 let test_factor_handoff () =
   let p =
     { Milp.Simplex.nrows = 2; ncols = 2;
@@ -174,64 +197,62 @@ let test_factor_handoff () =
       cost = [| 1.; 1. |]; lb = [| 0.; 0. |]; ub = [| 10.; 10. |];
       rhs = [| 4.; 3. |] }
   in
-  let parent =
-    match Milp.Simplex.solve_r p with Ok r -> r | Error _ -> Alcotest.fail "parent"
-  in
+  let parent = solve_ok "parent" p in
   let wb = Option.get parent.Milp.Simplex.basis in
   let wf = parent.Milp.Simplex.factor in
   Alcotest.(check bool) "optimal solve returns a factor" true (wf <> None);
   (* tighten a bound that does not cut the parent optimum *)
   let child = { p with ub = [| 9.; 10. |] } in
-  let with_factor =
-    match Milp.Simplex.solve_r ~warm:wb ?warm_factor:wf child with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "warm+factor"
+  let with_factor, count =
+    with_counters (fun () -> solve_ok ~warm:wb ?warm_factor:wf "warm+factor" child)
   in
-  let without_factor =
-    match Milp.Simplex.solve_r ~warm:wb child with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "warm"
-  in
-  Alcotest.(check bool) "factor handoff is bit-transparent" true
-    (with_factor.Milp.Simplex.x = without_factor.Milp.Simplex.x
-    && with_factor.Milp.Simplex.obj = without_factor.Milp.Simplex.obj);
-  (* counter check: the factor-fed solve performs zero refactorizations *)
-  Telemetry.Sink.set Telemetry.Sink.Memory;
-  Fun.protect ~finally:(fun () -> Telemetry.Sink.set Telemetry.Sink.Null)
-  @@ fun () ->
-  Telemetry.Metrics.reset ();
-  (match Milp.Simplex.solve_r ~warm:wb ?warm_factor:wf child with
-   | Ok _ -> ()
-   | Error _ -> Alcotest.fail "warm+factor re-solve");
-  let snap = Telemetry.Metrics.snapshot () in
-  let count name = Telemetry.Metrics.counter_value snap name in
   Alcotest.(check int) "no refactorizations with a factor in hand" 0
     (count "simplex.refactorizations");
   Alcotest.(check bool) "the entry factor was reused" true
-    (count "simplex.factor_reuses" >= 1)
+    (count "simplex.factor_reuses" >= 1);
+  let without_factor, count =
+    with_counters (fun () -> solve_ok ~warm:wb "warm" child)
+  in
+  Alcotest.(check int) "one entry refactorization without a factor" 1
+    (count "simplex.refactorizations");
+  Alcotest.(check bool) "factor handoff is bit-transparent" true
+    (same_result with_factor without_factor)
 
-(* A pinned --refactor-interval may change wall time only: results stay
-   bit-identical to the stability-triggered default. *)
-let test_refactor_interval_identity () =
+(* The per-domain factor cache moves wall time only: an LP solved in a
+   fresh domain and the same LP solved in a domain whose cache already
+   holds its final basis return the same bits. The warmed domain first
+   reaches the basis through a warm solve without a factor, whose entry
+   refactorization must not stand in for the canonical factor. *)
+let test_cache_hit_transparent () =
+  (* inexact coefficients, so an entry factorization of the final basis
+     and its canonical factorization differ in the last bits *)
   let p =
-    { Milp.Simplex.nrows = 3; ncols = 4;
+    { Milp.Simplex.nrows = 3; ncols = 5;
       cols =
-        [| ([| 0; 1 |], [| 1.; 2. |]); ([| 0; 2 |], [| 3.; 1. |]);
-           ([| 1; 2 |], [| 1.; 1. |]); ([| 0; 1 |], [| 1.; 1. |]) |];
-      cost = [| -1.; -2.; -1.; -3. |];
-      lb = [| 0.; 0.; 0.; 0. |]; ub = [| 5.; 5.; 5.; 5. |];
-      rhs = [| 6.; 5.; 4. |] }
+        [| ([| 0; 1; 2 |], [| 6. /. 5.; 4. /. 3.; 2. /. 3. |]);
+           ([| 2 |], [| 8. /. 3. |]);
+           ([| 1; 2 |], [| 1.; 8. /. 5. |]);
+           ([| 0; 2 |], [| 2. /. 3.; 9. /. 4. |]);
+           ([| 0 |], [| 0.5 |]) |];
+      cost = [| -5.; -4.; -2.; -5.; -1. |];
+      lb = Array.make 5 0.; ub = Array.make 5 5.;
+      rhs = [| 2.; 2.; 3. |] }
   in
-  let a =
-    match Milp.Simplex.solve_r p with Ok r -> r | Error _ -> Alcotest.fail "default"
+  let fresh = Domain.join (Domain.spawn (fun () -> solve_ok "fresh" p)) in
+  let wb = Option.get fresh.Milp.Simplex.basis in
+  let (warm, again), count =
+    with_counters (fun () ->
+        Domain.join
+          (Domain.spawn (fun () ->
+               let warm = solve_ok ~warm:wb "warm" p in
+               (warm, solve_ok "again" p))))
   in
-  let b =
-    match Milp.Simplex.solve_r ~refactor_interval:1 p with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "interval"
-  in
-  Alcotest.(check bool) "refactor-interval=1 is bit-identical" true
-    (a.Milp.Simplex.x = b.Milp.Simplex.x && a.Milp.Simplex.obj = b.Milp.Simplex.obj)
+  Alcotest.(check bool) "second solve hit the cache" true
+    (count "simplex.factor_cache_hits" >= 1);
+  Alcotest.(check bool) "warm solve matches the fresh domain" true
+    (same_result fresh warm);
+  Alcotest.(check bool) "cache hit matches the fresh domain" true
+    (same_result fresh again)
 
 let suite =
   let qc = QCheck_alcotest.to_alcotest in
@@ -239,9 +260,8 @@ let suite =
     [ qc prop_eta_matches_scratch;
       Alcotest.test_case "stability trigger fires on tiny pivot" `Quick
         test_stability_trigger;
-      Alcotest.test_case "chain cap and pinned interval" `Quick
-        test_chain_and_interval;
+      Alcotest.test_case "chain cap" `Quick test_chain_cap;
       Alcotest.test_case "factor handoff: bit-transparent, no refactors" `Quick
         test_factor_handoff;
-      Alcotest.test_case "refactor-interval pin is bit-transparent" `Quick
-        test_refactor_interval_identity ] )
+      Alcotest.test_case "cache hit in a warmed domain is bit-transparent"
+        `Quick test_cache_hit_transparent ] )

@@ -96,6 +96,14 @@ let test_rng_split_independent () =
   done;
   check_bool "split diverges" true !differs
 
+(* SplitMix64 known answer: the finalizer of the golden gamma is the first
+   output of the seed-0 generator. *)
+let test_rng_mix64_known_answer () =
+  Alcotest.(check int64) "mix64 golden" 0xE220A8397B1DCDAFL
+    (Prim.Rng.mix64 0x9E3779B97F4A7C15L);
+  Alcotest.(check int64) "first int64 of seed 0" 0xE220A8397B1DCDAFL
+    (Prim.Rng.int64 (Prim.Rng.create 0))
+
 let test_rng_float_bounds () =
   let r = Prim.Rng.create 9 in
   for _ = 1 to 1000 do
@@ -271,6 +279,7 @@ let suite =
       Alcotest.test_case "rng shuffle permutes" `Quick test_rng_shuffle_permutes;
       Alcotest.test_case "rng split" `Quick test_rng_split_independent;
       Alcotest.test_case "rng float" `Quick test_rng_float_bounds;
+      Alcotest.test_case "rng mix64 known answer" `Quick test_rng_mix64_known_answer;
       Alcotest.test_case "stats basics" `Quick test_stats_basic;
       Alcotest.test_case "stats errors" `Quick test_stats_errors;
       Alcotest.test_case "quantiles" `Quick test_quantiles;

@@ -288,6 +288,24 @@ let test_export_prometheus () =
   check_bool "json counters" true (contains js "\"exp.requests-total\":3");
   check_bool "json histogram count" true (contains js "\"count\":3")
 
+(* JSON has no nan or infinity: a non-finite value prints as 0, both as a
+   bare number and inside a metrics object. *)
+let test_export_json_nonfinite () =
+  List.iter
+    (fun v -> Alcotest.(check string) "non-finite" "0" (Telemetry.Export.json_float v))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check string) "integer" "3" (Telemetry.Export.json_float 3.);
+  Alcotest.(check string) "fraction" "2.5" (Telemetry.Export.json_float 2.5);
+  with_sink Telemetry.Sink.Memory @@ fun () ->
+  M.set_gauge (M.gauge "exp.undefined") nan;
+  M.set_gauge (M.gauge "exp.unbounded") infinity;
+  let js = Telemetry.Export.metrics_json (M.snapshot ()) in
+  List.iter
+    (fun tok -> check_bool ("no " ^ tok) false (contains js tok))
+    [ ":nan"; ":inf"; ":-inf"; ":-nan" ];
+  check_bool "nan gauge as 0" true (contains js "\"exp.undefined\":0");
+  check_bool "inf gauge as 0" true (contains js "\"exp.unbounded\":0")
+
 (* ---- snapshot consistency under concurrent mutation (jobs=4) ---------- *)
 
 let test_snapshot_concurrent () =
@@ -342,5 +360,7 @@ let suite =
       Alcotest.test_case "log JSONL shape and levels" `Quick test_log_jsonl_and_levels;
       Alcotest.test_case "log rate limiting" `Quick test_log_rate_limit;
       Alcotest.test_case "prometheus exposition" `Quick test_export_prometheus;
+      Alcotest.test_case "json numbers: nan/inf print as 0" `Quick
+        test_export_json_nonfinite;
       Alcotest.test_case "snapshot under concurrent mutation" `Quick test_snapshot_concurrent;
     ] )
