@@ -15,133 +15,20 @@
      gate (exit 1), as does a sweep that lost warm/cold identity or stopped
      warm-solving nodes.
 
-   Stdlib only (hand-rolled JSON reader for the subset bench/main.ml
-   emits: objects, arrays, strings, numbers, booleans). *)
+   Reads both files with [Telemetry.Json.parse]. *)
 
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Bool of bool
-  | Null
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else fail "unexpected end" in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        (match peek () with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 'u' ->
-           (* bench output only escapes control characters; decode as-is *)
-           let hex = String.sub s (!pos + 1) 4 in
-           Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ hex) land 0xff));
-           pos := !pos + 4
-         | c -> fail (Printf.sprintf "bad escape \\%c" c));
-        incr pos;
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        incr pos;
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = '}' then begin incr pos; Obj [] end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> incr pos; members ((k, v) :: acc)
-          | '}' -> incr pos; Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-      end
-    | '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = ']' then begin incr pos; Arr [] end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> incr pos; elements (v :: acc)
-          | ']' -> incr pos; Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elements []
-      end
-    | '"' -> Str (parse_string ())
-    | 't' -> pos := !pos + 4; Bool true
-    | 'f' -> pos := !pos + 5; Bool false
-    | 'n' -> pos := !pos + 4; Null
-    | _ ->
-      let start = !pos in
-      while
-        !pos < n
-        && (match s.[!pos] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false)
-      do
-        incr pos
-      done;
-      if !pos = start then fail "unexpected character";
-      Num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  v
+module J = Telemetry.Json
 
 let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> parse_json (really_input_string ic (in_channel_length ic)))
+  match J.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok j -> j
+  | Error e -> failwith e
 
-let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-let path_opt j keys = List.fold_left (fun j k -> Option.bind j (member k)) (Some j) keys
-let num_opt j keys = match path_opt j keys with Some (Num x) -> Some x | _ -> None
-let bool_opt j keys = match path_opt j keys with Some (Bool b) -> Some b | _ -> None
+let path_opt j keys = List.fold_left (fun j k -> Option.bind j (J.member k)) (Some j) keys
+
+let number = function J.Int i -> Some (float_of_int i) | J.Float x -> Some x | _ -> None
+let num_opt j keys = Option.bind (path_opt j keys) number
+let bool_opt j keys = match path_opt j keys with Some (J.Bool b) -> Some b | _ -> None
 
 let warnings = ref 0
 let failures = ref 0
@@ -175,12 +62,12 @@ let check_wall label fresh base =
 (* per-experiment wall times, matched by id *)
 let check_experiments fresh base =
   let exps j =
-    match member "experiments" j with
-    | Some (Arr es) ->
+    match J.member "experiments" j with
+    | Some (J.List es) ->
       List.filter_map
         (fun e ->
           match (path_opt e [ "id" ], num_opt e [ "wall_s" ]) with
-          | Some (Str id), Some w -> Some (id, w)
+          | Some (J.String id), Some w -> Some (id, w)
           | _ -> None)
         es
     | _ -> []
@@ -196,7 +83,7 @@ let check_experiments fresh base =
 (* The node-bound warm sweep: identity booleans must hold in the fresh run,
    and every telemetry counter must match the baseline exactly. *)
 let check_sweep fresh base =
-  match (member "warm_sweep" fresh, member "warm_sweep" base) with
+  match (J.member "warm_sweep" fresh, J.member "warm_sweep" base) with
   | None, _ -> fail "warm_sweep section missing from fresh results"
   | _, None -> warn "warm_sweep section missing from baseline (gate skipped)"
   | Some f, Some b ->
@@ -238,11 +125,11 @@ let check_sweep fresh base =
           (path_opt f [ side; "telemetry"; "counters" ],
            path_opt b [ side; "telemetry"; "counters" ])
         with
-        | Some (Obj fc), Some (Obj bc) ->
+        | Some (J.Obj fc), Some (J.Obj bc) ->
           List.iter
             (fun (name, v) ->
-              match (v, List.assoc_opt name bc) with
-              | Num fv, Some (Num bv) ->
+              match (number v, Option.map number (List.assoc_opt name bc)) with
+              | Some fv, Some (Some bv) ->
                 if fv <> bv then
                   fail "warm_sweep %s counter %s drifted: %.0f vs baseline %.0f" side
                     name fv bv
@@ -264,19 +151,19 @@ let check_sweep fresh base =
    clearing the >= gate_pct savings floor, and the DRAM-model replay must
    keep the fused stream strictly cheaper. *)
 let check_fuse fresh base =
-  match (member "fuse" fresh, member "fuse" base) with
+  match (J.member "fuse" fresh, J.member "fuse" base) with
   | None, None -> ()
   | None, Some _ -> fail "fuse section missing from fresh results"
   | Some _, None -> warn "fuse section missing from baseline (gate skipped)"
   | Some f, Some b ->
     let gate = match num_opt f [ "gate_pct" ] with Some g -> g | None -> 20. in
     let nets j =
-      match member "networks" j with
-      | Some (Arr ns) ->
+      match J.member "networks" j with
+      | Some (J.List ns) ->
         List.filter_map
           (fun e ->
             match path_opt e [ "name" ] with
-            | Some (Str name) -> Some (name, e)
+            | Some (J.String name) -> Some (name, e)
             | _ -> None)
           ns
       | _ -> []

@@ -14,192 +14,90 @@
 
 (* ---- machine-readable results ---------------------------------------- *)
 
-(* Counters of a snapshot as one JSON object (histograms are summarised by
-   count and sum — enough for rate regressions without bucket noise).
-   Never-touched metrics are suppressed: registered-but-zero counters and
-   gauges and empty histograms (all the dram.*/noc.* instruments a solver-
-   only section never drives) would otherwise bloat every section and the
-   regression baseline with noise that can only ever read 0. *)
-let snapshot_json (s : Telemetry.Metrics.snapshot) =
-  let counters =
-    List.filter_map
-      (fun (name, v) ->
-        if v = 0 then None
-        else Some (Printf.sprintf "\"%s\":%d" (Telemetry.Trace.json_escape name) v))
-      s.Telemetry.Metrics.counters
-  in
-  let gauges =
-    List.filter_map
-      (fun (name, v) ->
-        if v = 0. then None
-        else
-          Some
-            (Printf.sprintf "\"%s\":%s" (Telemetry.Trace.json_escape name)
-               (Telemetry.Export.json_float v)))
-      s.Telemetry.Metrics.gauges
-  in
-  let hists =
-    List.filter_map
-      (fun (name, (h : Telemetry.Metrics.hist_snapshot)) ->
-        if h.Telemetry.Metrics.count = 0 then None
-        else
-          Some
-            (Printf.sprintf "\"%s\":{\"count\":%d,\"sum\":%s}"
-               (Telemetry.Trace.json_escape name) h.Telemetry.Metrics.count
-               (Telemetry.Export.json_float h.Telemetry.Metrics.sum)))
-      s.Telemetry.Metrics.histograms
-  in
-  Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":{%s}}"
-    (String.concat "," counters) (String.concat "," gauges) (String.concat "," hists)
+module J = Telemetry.Json
 
-let exp_ran = ref false
-let exp_results : string list ref = ref []
-let serve_result : string option ref = ref None
-let sweep_result : string option ref = ref None
-let soak_result : string option ref = ref None
-let soak_cluster_result : string option ref = ref None
-let fuse_result : string option ref = ref None
-let micro_ran = ref false
-let micro_results : string list ref = ref []
+let results_path = "BENCH_results.json"
 
-(* Split the top level of an existing results file into (key, raw value)
-   pairs so a partial bench run can merge into it instead of overwriting:
-   a sweep-only run must not silently drop the committed experiments or
-   soak sections. A tiny scanner (depth + string state) is enough — the
-   file is our own output. *)
-let split_top_level text =
-  let n = String.length text in
-  let i = ref 0 in
-  let sections = ref [] in
-  (try
-     while !i < n && text.[!i] <> '{' do incr i done;
-     incr i;
-     let read_string () =
-       (* cursor on the opening quote; returns contents, cursor past close *)
-       let buf = Buffer.create 16 in
-       incr i;
-       while text.[!i] <> '"' do
-         if text.[!i] = '\\' then begin
-           Buffer.add_char buf text.[!i];
-           incr i
-         end;
-         Buffer.add_char buf text.[!i];
-         incr i
-       done;
-       incr i;
-       Buffer.contents buf
-     in
-     let skip_ws () =
-       while
-         !i < n && (match text.[!i] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-       do
-         incr i
-       done
-     in
-     let rec members () =
-       skip_ws ();
-       if !i < n && text.[!i] = '"' then begin
-         let key = read_string () in
-         skip_ws ();
-         if text.[!i] <> ':' then raise Exit;
-         incr i;
-         skip_ws ();
-         let start = !i in
-         let depth = ref 0 in
-         let stop = ref false in
-         while not !stop do
-           if !i >= n then raise Exit;
-           (match text.[!i] with
-            | '"' -> ignore (read_string ()); decr i
-            | '{' | '[' -> incr depth
-            | '}' | ']' when !depth > 0 -> decr depth
-            | ',' when !depth = 0 -> stop := true
-            | '}' when !depth = 0 -> stop := true
-            | _ -> ());
-           if not !stop then incr i
-         done;
-         let value = String.trim (String.sub text start (!i - start)) in
-         sections := (key, value) :: !sections;
-         if text.[!i] = ',' then begin
-           incr i;
-           members ()
-         end
-       end
-     in
-     members ()
-   with Exit | Invalid_argument _ -> ());
-  List.rev !sections
+(* A snapshot in the one metrics shape, minus never-touched metrics:
+   registered-but-zero counters and gauges and empty histograms (all the
+   dram.*/noc.* instruments a solver-only section never drives) would
+   otherwise bloat every section and the regression baseline with noise
+   that can only ever read 0. *)
+let telemetry (s : Telemetry.Metrics.snapshot) =
+  Telemetry.Export.metrics_json
+    {
+      Telemetry.Metrics.counters =
+        List.filter (fun (_, v) -> v <> 0) s.Telemetry.Metrics.counters;
+      gauges = List.filter (fun (_, v) -> v <> 0.) s.Telemetry.Metrics.gauges;
+      histograms =
+        List.filter
+          (fun (_, (h : Telemetry.Metrics.hist_snapshot)) -> h.Telemetry.Metrics.count > 0)
+          s.Telemetry.Metrics.histograms;
+    }
+
+(* The results file's sections, seeded from the existing file at start-up
+   so a partial bench run merges into it: a sweep-only run must not drop
+   the committed experiments or soak sections. *)
+let sections : (string * J.t) list ref = ref []
+
+let set_section key v = sections := (key, v) :: List.remove_assoc key !sections
+
+(* A results file that does not parse is refused before any section runs,
+   and left as it is: rewriting it would silently drop what it holds. *)
+let load_results () =
+  if Sys.file_exists results_path then
+    match J.parse (In_channel.with_open_bin results_path In_channel.input_all) with
+    | Ok (J.Obj kvs) -> sections := kvs
+    | Ok _ ->
+      Printf.eprintf "%s: not a JSON object; left untouched\n" results_path;
+      exit 2
+    | Error e ->
+      Printf.eprintf "%s: %s; left untouched\n" results_path e;
+      exit 2
 
 let section_order =
   [ "experiments"; "serve"; "warm_sweep"; "soak"; "soak_cluster"; "fuse"; "micro" ]
 
-let write_results path =
-  let fresh =
-    (if !exp_ran then
-       [ ("experiments",
-          Printf.sprintf "[%s]" (String.concat "," (List.rev !exp_results))) ]
-     else [])
-    @ (match !serve_result with Some s -> [ ("serve", s) ] | None -> [])
-    @ (match !sweep_result with Some s -> [ ("warm_sweep", s) ] | None -> [])
-    @ (match !soak_result with Some s -> [ ("soak", s) ] | None -> [])
-    @ (match !soak_cluster_result with Some s -> [ ("soak_cluster", s) ] | None -> [])
-    @ (match !fuse_result with Some s -> [ ("fuse", s) ] | None -> [])
-    @ (if !micro_ran then
-         [ ("micro", Printf.sprintf "[%s]" (String.concat "," (List.rev !micro_results))) ]
-       else [])
-  in
-  (* sections the current run did not produce survive from the existing file *)
-  let kept =
-    if Sys.file_exists path then
-      List.filter
-        (fun (k, _) -> not (List.mem_assoc k fresh))
-        (split_top_level
-           (In_channel.with_open_bin path In_channel.input_all))
-    else []
-  in
-  let all = fresh @ kept in
+(* Written to a temp file and renamed over the results, so an interrupted
+   run cannot leave a truncated file behind. *)
+let write_results () =
+  let known, others = List.partition (fun (k, _) -> List.mem k section_order) !sections in
   let ordered =
     List.filter_map
-      (fun k -> Option.map (fun v -> (k, v)) (List.assoc_opt k all))
+      (fun k -> Option.map (fun v -> (k, v)) (List.assoc_opt k known))
       section_order
-    @ List.filter (fun (k, _) -> not (List.mem k section_order)) kept
+    @ others
   in
-  let sections =
-    List.map
-      (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Telemetry.Trace.json_escape k) v)
-      ordered
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc ("{" ^ String.concat "," sections ^ "}\n"));
-  Printf.printf "machine-readable results written to %s\n" path
+  let tmp = results_path ^ ".tmp" in
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc (J.to_string (J.Obj ordered) ^ "\n"));
+  Sys.rename tmp results_path;
+  Printf.printf "machine-readable results written to %s\n" results_path
 
 let run_experiments () =
-  exp_ran := true;
   Telemetry.Sink.set Telemetry.Sink.Memory;
-  List.iter
-    (fun (e : Registry.t) ->
-      Telemetry.Metrics.reset ();
-      let t0 = Unix.gettimeofday () in
-      let report = e.Registry.run () in
-      let wall = Unix.gettimeofday () -. t0 in
-      print_string report;
-      Printf.printf "[%s completed in %.1f s]\n" e.Registry.id wall;
-      exp_results :=
-        Printf.sprintf "{\"id\":\"%s\",\"wall_s\":%s,\"telemetry\":%s}"
-          (Telemetry.Trace.json_escape e.Registry.id) (Telemetry.Export.json_float wall)
-          (snapshot_json (Telemetry.Metrics.snapshot ()))
-        :: !exp_results;
-      flush stdout)
-    Registry.all;
+  let rows =
+    List.map
+      (fun (e : Registry.t) ->
+        Telemetry.Metrics.reset ();
+        let t0 = Unix.gettimeofday () in
+        let report = e.Registry.run () in
+        let wall = Unix.gettimeofday () -. t0 in
+        print_string report;
+        Printf.printf "[%s completed in %.1f s]\n" e.Registry.id wall;
+        flush stdout;
+        J.Obj
+          [ ("id", J.String e.Registry.id); ("wall_s", J.Float wall);
+            ("telemetry", telemetry (Telemetry.Metrics.snapshot ())) ])
+      Registry.all
+  in
+  set_section "experiments" (J.List rows);
   Telemetry.Metrics.reset ();
   Telemetry.Sink.set Telemetry.Sink.Null
 
 (* Bechamel micro-benchmarks: the kernels whose cost dominates each
    artefact family. *)
 let micro_benchmarks () =
-  micro_ran := true;
   let open Bechamel in
   (* the micro numbers are the <2%-overhead acceptance baseline, so they
      must measure the disabled-telemetry fast path *)
@@ -278,6 +176,7 @@ let micro_benchmarks () =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
   let instance = Toolkit.Instance.monotonic_clock in
+  let rows = ref [] in
   List.iter
     (fun test ->
       let results =
@@ -291,13 +190,11 @@ let micro_benchmarks () =
           match Analyze.OLS.estimates est with
           | Some [ ns ] ->
             Printf.printf "  %-32s %12.1f ns/run\n" name ns;
-            micro_results :=
-              Printf.sprintf "{\"name\":\"%s\",\"ns_per_run\":%s}"
-                (Telemetry.Trace.json_escape name) (Telemetry.Export.json_float ns)
-              :: !micro_results
+            rows := J.Obj [ ("name", J.String name); ("ns_per_run", J.Float ns) ] :: !rows
           | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
         analyzed)
     tests;
+  set_section "micro" (J.List (List.rev !rows));
   flush stdout
 
 (* Batch-service benchmarks: cold-vs-warm ResNet-50 through the certified
@@ -352,18 +249,14 @@ let serve_benchmarks () =
   Printf.printf "1-domain vs 4-domain schedules identical: %b\n" jobs_identical;
   Printf.printf "1-domain vs 4-domain total latency identical: %b\n"
     (one.Serve.Service.total_latency = four.Serve.Service.total_latency);
-  serve_result :=
-    Some
-      (Printf.sprintf
-         "{\"cold_s\":%s,\"warm_s\":%s,\"warm_speedup\":%s,\"warm_hit_rate\":%s,\
-          \"warm_identical\":%b,\"jobs_identical\":%b,\"telemetry\":%s}"
-         (Telemetry.Export.json_float cold.Serve.Service.wall_time)
-         (Telemetry.Export.json_float warm.Serve.Service.wall_time)
-         (Telemetry.Export.json_float speedup)
-         (Telemetry.Export.json_float (Serve.Schedule_cache.hit_rate cache))
-         (mappings cold = mappings warm)
-         jobs_identical
-         (snapshot_json (Telemetry.Metrics.snapshot ())));
+  set_section "serve"
+    (J.Obj
+       [ ("cold_s", J.Float cold.Serve.Service.wall_time);
+         ("warm_s", J.Float warm.Serve.Service.wall_time); ("warm_speedup", J.Float speedup);
+         ("warm_hit_rate", J.Float (Serve.Schedule_cache.hit_rate cache));
+         ("warm_identical", J.Bool (mappings cold = mappings warm));
+         ("jobs_identical", J.Bool jobs_identical);
+         ("telemetry", telemetry (Telemetry.Metrics.snapshot ())) ]);
   Telemetry.Metrics.reset ();
   Telemetry.Sink.set Telemetry.Sink.Null;
   flush stdout
@@ -412,8 +305,8 @@ let rec rm_rf path =
   | _ -> Sys.remove path
   | exception Unix.Unix_error _ -> ()
 
-(* One mixed-traffic soak round under one fault seed. Returns a JSON
-   fragment for the results file. *)
+(* One mixed-traffic soak round under one fault seed. Returns its row
+   for the results file. *)
 let soak_round seed =
   let tmp = Filename.get_temp_dir_name () in
   let tag = Printf.sprintf "cosa_soak_%d_%d" (Unix.getpid ()) seed in
@@ -591,13 +484,13 @@ let soak_round seed =
   rm_rf cache_dir;
   (* satellite: the round's final telemetry snapshot (counters reset at
      round start) rides into BENCH_results.json next to the checks *)
-  Printf.sprintf
-    "{\"seed\":%d,\"responses\":%d,\"scheduled\":%d,\"rejected\":%d,\"failed\":%d,\
-     \"faults_fired\":%d,\"p95_burst_s\":%s,\"persisted\":%d,\"wrong\":%d,\
-     \"restart_from_cache\":%d,\"telemetry\":%s}"
-    seed (List.length all) (List.length scheduled) rejected failed fired
-    (Telemetry.Export.json_float p95_burst) s.Daemon.Server.persisted !wrong !from_cache
-    (Telemetry.Export.metrics_json (Telemetry.Metrics.snapshot ()))
+  J.Obj
+    [ ("seed", J.Int seed); ("responses", J.Int (List.length all));
+      ("scheduled", J.Int (List.length scheduled)); ("rejected", J.Int rejected);
+      ("failed", J.Int failed); ("faults_fired", J.Int fired);
+      ("p95_burst_s", J.Float p95_burst); ("persisted", J.Int s.Daemon.Server.persisted);
+      ("wrong", J.Int !wrong); ("restart_from_cache", J.Int !from_cache);
+      ("telemetry", telemetry (Telemetry.Metrics.snapshot ())) ]
 
 let soak_benchmarks () =
   print_newline ();
@@ -605,14 +498,11 @@ let soak_benchmarks () =
   print_endline "====================================================================";
   Telemetry.Sink.set Telemetry.Sink.Null;
   let rounds = List.map soak_round soak_seeds in
-  soak_result :=
-    Some
-      (Printf.sprintf "{\"fault_rate\":%s,\"rounds\":[%s]}"
-         (Telemetry.Export.json_float soak_fault_rate)
-         (String.concat "," rounds));
+  set_section "soak"
+    (J.Obj [ ("fault_rate", J.Float soak_fault_rate); ("rounds", J.List rounds) ]);
   if !soak_failures > 0 then begin
     Printf.printf "soak: %d acceptance checks FAILED\n" !soak_failures;
-    write_results "BENCH_results.json";
+    write_results ();
     exit 1
   end;
   flush stdout
@@ -834,12 +724,10 @@ let cluster_fastpath_check () =
     (stats.Daemon.Server.fastpath_served >= 12)
     "[A] hits were served on the connection fast path";
   soak_check (shards_hit >= 2) "[A] hits spread across multiple shards";
-  Printf.sprintf
-    "{\"slow_wall_s\":%s,\"max_hit_wall_s\":%s,\"fastpath_served\":%d,\
-     \"shard_hits\":[%s]}"
-    (Telemetry.Export.json_float !slow_wall) (Telemetry.Export.json_float max_wall)
-    stats.Daemon.Server.fastpath_served
-    (String.concat "," (List.map string_of_int shard_hits))
+  J.Obj
+    [ ("slow_wall_s", J.Float !slow_wall); ("max_hit_wall_s", J.Float max_wall);
+      ("fastpath_served", J.Int stats.Daemon.Server.fastpath_served);
+      ("shard_hits", J.List (List.map (fun h -> J.Int h) shard_hits)) ]
 
 (* [B] one two-process chaos round under one fault seed. *)
 let cluster_round seed =
@@ -1001,17 +889,17 @@ let cluster_round seed =
      daemon's final stats snapshot rides into BENCH_results.json *)
   let live_snapshot ep =
     match Daemon.Client.stats_ep ~timeout_s:5. ep Daemon.Protocol.Stats_full with
-    | Ok payload -> payload
-    | Error _ -> "null"
+    | Ok payload -> (match J.parse payload with Ok j -> j | Error _ -> J.Null)
+    | Error _ -> J.Null
   in
   let snap_a = live_snapshot ep_a in
   let snap_b2 = live_snapshot ep_b in
+  let versioned snap = J.member "snapshot_version" snap = Some (J.Int 1) in
   soak_check
-    (contains snap_a "\"snapshot_version\"" && contains snap_a "\"shards\"")
+    (versioned snap_a
+    && match J.member "shards" snap_a with Some (J.List (_ :: _)) -> true | _ -> false)
     "[B] server A answered a live stats snapshot (with shard sections)";
-  soak_check
-    (contains snap_b2 "\"snapshot_version\"")
-    "[B] restarted server B answered a live stats snapshot";
+  soak_check (versioned snap_b2) "[B] restarted server B answered a live stats snapshot";
   (* drains *)
   let st_a = term_and_wait pid_a in
   let st_b2 = term_and_wait pid_b2 in
@@ -1079,25 +967,24 @@ let cluster_round seed =
   soak_check (Hashtbl.length shards_used >= 2) "[B] warmed layers span multiple shards";
   soak_check (b_files > 0) "[B] SIGKILLed B left write-through shard files behind";
   let peer_probes_b2 = counter_in_log text_b2 "cluster.peer_probes" in
-  let frag =
-    Printf.sprintf
-      "{\"seed\":%d,\"scheduled\":%d,\"rejected\":%d,\"failed\":%d,\
-       \"transport_errors\":%d,\"peer_served\":%d,\"wrong\":%d,\
-       \"restart_all_cache\":%b,\"a_faults_fired\":%d,\"b_shard_files\":%d,\
-       \"b2_peer_probes\":%d,\"a_snapshot\":%s,\"b2_snapshot\":%s}"
-      seed
-      (List.length !scheduled)
-      !rejected !failed !transport_errors !peer_served !wrong
-      (!restart_cache = List.length cluster_layers && !restart_bad = 0)
-      (counter_in_log text_a "faults fired:")
-      b_files peer_probes_b2 snap_a snap_b2
+  let row =
+    J.Obj
+      [ ("seed", J.Int seed); ("scheduled", J.Int (List.length !scheduled));
+        ("rejected", J.Int !rejected); ("failed", J.Int !failed);
+        ("transport_errors", J.Int !transport_errors); ("peer_served", J.Int !peer_served);
+        ("wrong", J.Int !wrong);
+        ("restart_all_cache",
+         J.Bool (!restart_cache = List.length cluster_layers && !restart_bad = 0));
+        ("a_faults_fired", J.Int (counter_in_log text_a "faults fired:"));
+        ("b_shard_files", J.Int b_files); ("b2_peer_probes", J.Int peer_probes_b2);
+        ("a_snapshot", snap_a); ("b2_snapshot", snap_b2) ]
   in
   List.iter (fun f -> try Sys.remove f with Sys_error _ -> ())
     [ sock_a; sock_b; sock_c; log_a; log_b; log_b2; log_c ];
   rm_rf cache_a;
   rm_rf cache_b;
   rm_rf cache_c;
-  frag
+  row
 
 let soak_cluster_benchmarks ?only_seed () =
   print_newline ();
@@ -1109,7 +996,7 @@ let soak_cluster_benchmarks ?only_seed () =
     Printf.printf
       "  SKIP cluster soak: %s not built (run `dune build bin/cosa_cli.exe`)\n"
       cli_binary;
-    soak_cluster_result := Some "{\"skipped\":true}"
+    set_section "soak_cluster" (J.Obj [ ("skipped", J.Bool true) ])
   end
   else begin
     (* the parent's own telemetry captures the client-side counters *)
@@ -1123,19 +1010,15 @@ let soak_cluster_benchmarks ?only_seed () =
     let snap = Telemetry.Metrics.snapshot () in
     let failovers = Telemetry.Metrics.counter_value snap "cluster.failovers" in
     soak_check (failovers > 0) "[B] client failed over after the peer kill";
-    soak_cluster_result :=
-      Some
-        (Printf.sprintf
-           "{\"fault_rate\":%s,\"fastpath\":%s,\"rounds\":[%s],\
-            \"client_telemetry\":%s}"
-           (Telemetry.Export.json_float cluster_fault_rate) fastpath
-           (String.concat "," rounds)
-           (snapshot_json snap));
+    set_section "soak_cluster"
+      (J.Obj
+         [ ("fault_rate", J.Float cluster_fault_rate); ("fastpath", fastpath);
+           ("rounds", J.List rounds); ("client_telemetry", telemetry snap) ]);
     Telemetry.Metrics.reset ();
     Telemetry.Sink.set Telemetry.Sink.Null;
     if !soak_failures > 0 then begin
       Printf.printf "cluster soak: %d acceptance checks FAILED\n" !soak_failures;
-      write_results "BENCH_results.json";
+      write_results ();
       exit 1
     end
   end;
@@ -1213,7 +1096,7 @@ let fuse_benchmarks () =
       (Network.resnet50, false) ]
   in
   let recert_failures = ref 0 in
-  let net_frags =
+  let net_rows =
     List.map
       (fun ((net : Network.t), gated) ->
         let plan = Fuse.Plan.plan_network ~mode:Fuse.Plan.Chains arch net in
@@ -1284,17 +1167,16 @@ let fuse_benchmarks () =
           soak_check (savings_pct >= fuse_gate_pct)
             (Printf.sprintf "%s: fused off-chip >= %.0f%% below independent"
                net.Network.nname fuse_gate_pct);
-        Printf.sprintf
-          "{\"name\":\"%s\",\"groups\":%d,\"fused\":%d,\"degraded\":%d,\
-           \"chain_independent_words\":%d,\"chain_fused_words\":%d,\
-           \"savings_pct\":%s,\"network_independent_words\":%d,\
-           \"network_fused_words\":%d,\"gated\":%b}"
-          (Telemetry.Trace.json_escape net.Network.nname)
-          (List.length plan.Fuse.Plan.p_groups)
-          (List.length fused) (List.length degraded) chain_ind
-          (chain_ind - chain_saved) (Telemetry.Export.json_float savings_pct)
-          plan.Fuse.Plan.p_independent_dram_words plan.Fuse.Plan.p_fused_dram_words
-          gated)
+        J.Obj
+          [ ("name", J.String net.Network.nname);
+            ("groups", J.Int (List.length plan.Fuse.Plan.p_groups));
+            ("fused", J.Int (List.length fused)); ("degraded", J.Int (List.length degraded));
+            ("chain_independent_words", J.Int chain_ind);
+            ("chain_fused_words", J.Int (chain_ind - chain_saved));
+            ("savings_pct", J.Float savings_pct);
+            ("network_independent_words", J.Int plan.Fuse.Plan.p_independent_dram_words);
+            ("network_fused_words", J.Int plan.Fuse.Plan.p_fused_dram_words);
+            ("gated", J.Bool gated) ])
       nets
   in
   soak_check (!recert_failures = 0)
@@ -1303,7 +1185,7 @@ let fuse_benchmarks () =
   let block_plan =
     Fuse.Plan.plan_network ~mode:Fuse.Plan.Chains arch Network.resnet50_block
   in
-  let dram_frag =
+  let dram_row =
     match block_plan.Fuse.Plan.p_groups with
     | ({ Fuse.Plan.g_outcome = Fuse.Plan.Fused f; g_group; _ } as _gp) :: _ ->
       let fused_busy, fh, fm =
@@ -1316,28 +1198,23 @@ let fuse_benchmarks () =
         ind_busy ih im fused_busy fh fm;
       soak_check (fused_busy < ind_busy)
         "DRAM model: fused stream strictly fewer busy cycles than independent";
-      Printf.sprintf
-        "{\"independent_busy_cycles\":%d,\"fused_busy_cycles\":%d,\
-         \"independent_row_hits\":%d,\"independent_row_misses\":%d,\
-         \"fused_row_hits\":%d,\"fused_row_misses\":%d}"
-        ind_busy fused_busy ih im fh fm
+      J.Obj
+        [ ("independent_busy_cycles", J.Int ind_busy); ("fused_busy_cycles", J.Int fused_busy);
+          ("independent_row_hits", J.Int ih); ("independent_row_misses", J.Int im);
+          ("fused_row_hits", J.Int fh); ("fused_row_misses", J.Int fm) ]
     | _ ->
       soak_check false "DRAM model: bottleneck block produced a fused plan";
-      "{}"
+      J.Obj []
   in
-  fuse_result :=
-    Some
-      (Printf.sprintf
-         "{\"gate_pct\":%s,\"networks\":[%s],\"dram_sim\":%s,\"telemetry\":%s}"
-         (Telemetry.Export.json_float fuse_gate_pct)
-         (String.concat "," net_frags)
-         dram_frag
-         (snapshot_json (Telemetry.Metrics.snapshot ())));
+  set_section "fuse"
+    (J.Obj
+       [ ("gate_pct", J.Float fuse_gate_pct); ("networks", J.List net_rows);
+         ("dram_sim", dram_row); ("telemetry", telemetry (Telemetry.Metrics.snapshot ())) ]);
   Telemetry.Metrics.reset ();
   Telemetry.Sink.set Telemetry.Sink.Null;
   if !soak_failures > 0 then begin
     Printf.printf "fuse: %d acceptance checks FAILED\n" !soak_failures;
-    write_results "BENCH_results.json";
+    write_results ();
     exit 1
   end;
   flush stdout
@@ -1407,22 +1284,21 @@ let warm_sweep () =
   Printf.printf "schedules byte-identical warm vs cold: %b\n" schedules_identical;
   Printf.printf "objectives identical: %b\nnode counts identical: %b\n"
     objectives_identical nodes_identical;
-  sweep_result :=
-    Some
-      (Printf.sprintf
-         "{\"shapes\":%d,\"node_limit\":3000,\"schedules_identical\":%b,\
-          \"objectives_identical\":%b,\"nodes_identical\":%b,\"iter_ratio\":%s,\
-          \"warm_start_rate\":%s,\"warm\":{\"wall_s\":%s,\"telemetry\":%s},\
-          \"cold\":{\"wall_s\":%s,\"telemetry\":%s}}"
-         (List.length shapes) schedules_identical objectives_identical nodes_identical
-         (Telemetry.Export.json_float iter_ratio) (Telemetry.Export.json_float warm_rate)
-         (Telemetry.Export.json_float w_wall) (snapshot_json w_snap)
-         (Telemetry.Export.json_float c_wall) (snapshot_json c_snap));
+  let side wall snap = J.Obj [ ("wall_s", J.Float wall); ("telemetry", telemetry snap) ] in
+  set_section "warm_sweep"
+    (J.Obj
+       [ ("shapes", J.Int (List.length shapes)); ("node_limit", J.Int 3000);
+         ("schedules_identical", J.Bool schedules_identical);
+         ("objectives_identical", J.Bool objectives_identical);
+         ("nodes_identical", J.Bool nodes_identical); ("iter_ratio", J.Float iter_ratio);
+         ("warm_start_rate", J.Float warm_rate); ("warm", side w_wall w_snap);
+         ("cold", side c_wall c_snap) ]);
   Telemetry.Metrics.reset ();
   Telemetry.Sink.set Telemetry.Sink.Null;
   flush stdout
 
 let () =
+  load_results ();
   let t0 = Unix.gettimeofday () in
   (* one optional argument selects a single section: exp | serve | sweep | micro *)
   (match if Array.length Sys.argv > 1 then Some Sys.argv.(1) else None with
@@ -1454,4 +1330,4 @@ let () =
      fuse_benchmarks ();
      micro_benchmarks ());
   Printf.printf "\nTotal harness time: %.1f s\n" (Unix.gettimeofday () -. t0);
-  write_results "BENCH_results.json"
+  write_results ()

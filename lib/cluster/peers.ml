@@ -119,22 +119,17 @@ let stats t =
 (* Per-peer health/backoff state as a JSON array — the "peers" section
    of the daemon's Stats frame. Read-only under the lock. *)
 let stats_json t =
+  let module J = Telemetry.Json in
   Mutex.protect t.lock (fun () ->
-      let buf = Buffer.create 256 in
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i (p : peer) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"endpoint\":\"%s\",\"healthy\":%b,\"consec_fails\":%d,\
-                \"backoff_s\":%.3f,\"probes\":%d,\"hits\":%d,\"rejects\":%d}"
-               (Telemetry.Trace.json_escape
-                  (Daemon.Client.endpoint_to_string p.ep))
-               p.healthy p.consec_fails p.backoff p.probes p.hits p.rejects))
-        t.all;
-      Buffer.add_char buf ']';
-      Buffer.contents buf)
+      J.List
+        (List.map
+           (fun (p : peer) ->
+             J.Obj
+               [ ("endpoint", J.String (Daemon.Client.endpoint_to_string p.ep));
+                 ("healthy", J.Bool p.healthy); ("consec_fails", J.Int p.consec_fails);
+                 ("backoff_s", J.Float p.backoff); ("probes", J.Int p.probes);
+                 ("hits", J.Int p.hits); ("rejects", J.Int p.rejects) ])
+           t.all))
 
 (* Callers hold [t.lock]. *)
 let note_failure t (p : peer) now =

@@ -61,7 +61,7 @@ val probe :
 
 val healthy_endpoints : t -> Daemon.Client.endpoint list
 
-val stats_json : t -> string
+val stats_json : t -> Telemetry.Json.t
 (** Per-peer health/backoff state as a JSON array
     ([endpoint], [healthy], [consec_fails], [backoff_s], [probes],
     [hits], [rejects]) — the ["peers"] section the cluster CLI wiring

@@ -136,24 +136,22 @@ let shard_hit_rate t i =
    cluster CLI wiring injects into the daemon's Stats frame. Read-only:
    copies each shard's counters under its own lock, books nothing. *)
 let stats_json t =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '[';
-  Array.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      let st, rate =
-        Mutex.protect s.lock (fun () ->
-            (Serve.Schedule_cache.stats s.cache, Serve.Schedule_cache.hit_rate s.cache))
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"shard\":%d,\"hits\":%d,\"disk_hits\":%d,\"misses\":%d,\"disk_rejects\":%d,\"evictions\":%d,\"stores\":%d,\"hit_rate\":%.4f}"
-           i st.Serve.Schedule_cache.hits st.Serve.Schedule_cache.disk_hits
-           st.Serve.Schedule_cache.misses st.Serve.Schedule_cache.disk_rejects
-           st.Serve.Schedule_cache.evictions st.Serve.Schedule_cache.stores rate))
-    t.shards;
-  Buffer.add_char buf ']';
-  Buffer.contents buf
+  let module J = Telemetry.Json in
+  J.List
+    (List.mapi
+       (fun i s ->
+         let st, rate =
+           Mutex.protect s.lock (fun () ->
+               (Serve.Schedule_cache.stats s.cache, Serve.Schedule_cache.hit_rate s.cache))
+         in
+         J.Obj
+           [ ("shard", J.Int i); ("hits", J.Int st.Serve.Schedule_cache.hits);
+             ("disk_hits", J.Int st.Serve.Schedule_cache.disk_hits);
+             ("misses", J.Int st.Serve.Schedule_cache.misses);
+             ("disk_rejects", J.Int st.Serve.Schedule_cache.disk_rejects);
+             ("evictions", J.Int st.Serve.Schedule_cache.evictions);
+             ("stores", J.Int st.Serve.Schedule_cache.stores); ("hit_rate", J.Float rate) ])
+       (Array.to_list t.shards))
 
 (* The service-facing view. Per-fingerprint hit rates come from the
    owning shard's window, so admission prices a request against the

@@ -50,7 +50,7 @@ val shard_stats : t -> int -> Serve.Schedule_cache.stats
 val hit_rate : t -> float
 val shard_hit_rate : t -> int -> float
 
-val stats_json : t -> string
+val stats_json : t -> Telemetry.Json.t
 (** Per-shard counters and hit rates as a JSON array ([shard], [hits],
     [disk_hits], [misses], [disk_rejects], [evictions], [stores],
     [hit_rate]) — the ["shards"] section the cluster CLI wiring injects

@@ -103,10 +103,10 @@ type config = {
          ever set by chaos harnesses, so an ordinary --fault-seed run
          cannot kill the daemon *)
   flight_capacity : int;  (* flight-recorder ring: last N request records *)
-  stats_extra : (string * (unit -> string)) list;
+  stats_extra : (string * (unit -> Telemetry.Json.t)) list;
       (* extra named JSON sections for the Stats frame (cluster wiring
-         injects "shards" / "peers" here); each thunk must return valid
-         JSON and be safe to call from a connection thread *)
+         injects "shards" / "peers" here); each thunk must be safe to
+         call from a connection thread, and one that raises yields null *)
 }
 
 let config ?(admission = Admission.default_config ()) ?cache_dir
@@ -740,25 +740,19 @@ let flight_entries t =
       !out)
 
 let flight_json t =
-  let esc = Telemetry.Trace.json_escape in
-  let buf = Buffer.create 1024 in
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"id\":\"%s\",\"hop\":%d,\"client\":\"%s\",\"target\":\"%s\",\
-            \"cache_only\":%b,\"rung_admitted\":\"%s\",\"rung_served\":\"%s\",\
-            \"origin\":\"%s\",\"verdict\":\"%s\",\"queue_wait_s\":%.6f,\
-            \"serve_s\":%.6f,\"ts\":%.6f}"
-           (Telemetry.Trace.request_id_hex e.f_id)
-           e.f_hop (esc e.f_client) (esc e.f_target) e.f_cache_only
-           (esc e.f_rung_admitted) (esc e.f_rung_served) (esc e.f_origin)
-           (esc e.f_verdict) e.f_queue_wait_s e.f_serve_s e.f_ts))
-    (flight_entries t);
-  Buffer.add_char buf ']';
-  Buffer.contents buf
+  let module J = Telemetry.Json in
+  J.List
+    (List.map
+       (fun e ->
+         J.Obj
+           [ ("id", J.String (Telemetry.Trace.request_id_hex e.f_id)); ("hop", J.Int e.f_hop);
+             ("client", J.String e.f_client); ("target", J.String e.f_target);
+             ("cache_only", J.Bool e.f_cache_only);
+             ("rung_admitted", J.String e.f_rung_admitted);
+             ("rung_served", J.String e.f_rung_served); ("origin", J.String e.f_origin);
+             ("verdict", J.String e.f_verdict); ("queue_wait_s", J.Float e.f_queue_wait_s);
+             ("serve_s", J.Float e.f_serve_s); ("ts", J.Float e.f_ts) ])
+       (flight_entries t))
 
 (* Versioned JSON snapshot for [Stats_full]. Strictly read-only: the
    stats mirrors are copied under the lock, the cache tier is consulted
@@ -808,8 +802,9 @@ let stats_payload t scope =
         Telemetry.Metrics.counters = merge live_counters snap.Telemetry.Metrics.counters;
         gauges = merge live_gauges snap.Telemetry.Metrics.gauges;
       }
-  | Protocol.Stats_flight -> flight_json t
+  | Protocol.Stats_flight -> Telemetry.Json.to_string (flight_json t)
   | Protocol.Stats_full ->
+    let module J = Telemetry.Json in
     let st, queue_depth, conns, flight_total, admission =
       Mutex.protect t.lock (fun () ->
           ( { t.stats with served = t.stats.served },
@@ -819,59 +814,50 @@ let stats_payload t scope =
             Admission.introspect t.adm ))
     in
     let hit_rate = t.local_tier.Serve.Service.tier_hit_rate None in
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"snapshot_version\":1,\"protocol_version\":%d,\"now\":%.6f,\
-          \"pid\":%d,\"draining\":%b"
-         Protocol.version (Robust.Deadline.now ()) (Unix.getpid ())
-         (Atomic.get t.stop));
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\"daemon\":{\"received\":%d,\"admitted\":%d,\"served\":%d,\
-          \"failed\":%d,\"rejected\":{\"queue_full\":%d,\"quota\":%d,\
-          \"shedding\":%d,\"deadline\":%d},\"max_queue_depth\":%d,\
-          \"fastpath_served\":%d,\"reaped\":%d,\"persisted\":%d,\
-          \"queue_depth\":%d,\"connections\":%d}"
-         st.received st.admitted st.served st.failed st.rejected_queue_full
-         st.rejected_quota st.rejected_shedding st.rejected_deadline
-         st.max_queue_depth st.fastpath_served st.reaped st.persisted
-         queue_depth conns);
-    Buffer.add_string buf ",\"admission\":[";
-    List.iteri
-      (fun i (rung, samples, cost_s) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "{\"rung\":\"%s\",\"samples\":%d,\"cost_s\":%.6f}"
-             (Robust.Ladder.to_string rung) samples cost_s))
-      admission;
-    Buffer.add_char buf ']';
-    Buffer.add_string buf (Printf.sprintf ",\"cache\":{\"hit_rate\":%.6f" hit_rate);
-    (match t.local_tier.Serve.Service.tier_stats () with
-     | Some (cs : Serve.Schedule_cache.stats) ->
-       Buffer.add_string buf
-         (Printf.sprintf
-            ",\"hits\":%d,\"disk_hits\":%d,\"misses\":%d,\"disk_rejects\":%d,\
-             \"evictions\":%d,\"stores\":%d"
-            cs.Serve.Schedule_cache.hits cs.Serve.Schedule_cache.disk_hits
-            cs.Serve.Schedule_cache.misses cs.Serve.Schedule_cache.disk_rejects
-            cs.Serve.Schedule_cache.evictions cs.Serve.Schedule_cache.stores)
-     | None -> ());
-    Buffer.add_char buf '}';
-    List.iter
-      (fun (name, thunk) ->
-        let payload = try thunk () with _ -> "null" in
-        Buffer.add_string buf
-          (Printf.sprintf ",\"%s\":%s" (Telemetry.Trace.json_escape name) payload))
-      t.cfg.stats_extra;
-    Buffer.add_string buf
-      (Printf.sprintf ",\"metrics\":%s"
-         (Telemetry.Export.metrics_json (Telemetry.Metrics.snapshot ())));
-    Buffer.add_string buf
-      (Printf.sprintf ",\"flight_total\":%d,\"flight\":%s" flight_total
-         (flight_json t));
-    Buffer.add_char buf '}';
-    Buffer.contents buf
+    let cache_counts =
+      match t.local_tier.Serve.Service.tier_stats () with
+      | Some (cs : Serve.Schedule_cache.stats) ->
+        [ ("hits", J.Int cs.Serve.Schedule_cache.hits);
+          ("disk_hits", J.Int cs.Serve.Schedule_cache.disk_hits);
+          ("misses", J.Int cs.Serve.Schedule_cache.misses);
+          ("disk_rejects", J.Int cs.Serve.Schedule_cache.disk_rejects);
+          ("evictions", J.Int cs.Serve.Schedule_cache.evictions);
+          ("stores", J.Int cs.Serve.Schedule_cache.stores) ]
+      | None -> []
+    in
+    J.to_string
+      (J.Obj
+         ([ ("snapshot_version", J.Int 1); ("protocol_version", J.Int Protocol.version);
+            ("now", J.Float (Robust.Deadline.now ())); ("pid", J.Int (Unix.getpid ()));
+            ("draining", J.Bool (Atomic.get t.stop));
+            ("daemon",
+             J.Obj
+               [ ("received", J.Int st.received); ("admitted", J.Int st.admitted);
+                 ("served", J.Int st.served); ("failed", J.Int st.failed);
+                 ("rejected",
+                  J.Obj
+                    [ ("queue_full", J.Int st.rejected_queue_full);
+                      ("quota", J.Int st.rejected_quota);
+                      ("shedding", J.Int st.rejected_shedding);
+                      ("deadline", J.Int st.rejected_deadline) ]);
+                 ("max_queue_depth", J.Int st.max_queue_depth);
+                 ("fastpath_served", J.Int st.fastpath_served); ("reaped", J.Int st.reaped);
+                 ("persisted", J.Int st.persisted); ("queue_depth", J.Int queue_depth);
+                 ("connections", J.Int conns) ]);
+            ("admission",
+             J.List
+               (List.map
+                  (fun (rung, samples, cost_s) ->
+                    J.Obj
+                      [ ("rung", J.String (Robust.Ladder.to_string rung));
+                        ("samples", J.Int samples); ("cost_s", J.Float cost_s) ])
+                  admission));
+            ("cache", J.Obj (("hit_rate", J.Float hit_rate) :: cache_counts)) ]
+         @ List.map
+             (fun (name, thunk) -> (name, try thunk () with _ -> J.Null))
+             t.cfg.stats_extra
+         @ [ ("metrics", Telemetry.Export.metrics_json (Telemetry.Metrics.snapshot ()));
+             ("flight_total", J.Int flight_total); ("flight", flight_json t) ]))
 
 (* Response write with the network fault plane. Sites fire only when a
    chaos harness armed them (and [net.peer_crash] additionally requires

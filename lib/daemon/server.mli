@@ -66,11 +66,11 @@ type config = {
       (** flight-recorder ring size: the last N per-request records
           readable through the Stats frame (min 16; always on, not gated
           on the telemetry sink) *)
-  stats_extra : (string * (unit -> string)) list;
+  stats_extra : (string * (unit -> Telemetry.Json.t)) list;
       (** extra named JSON sections appended to the [Stats_full]
           snapshot; cluster wiring injects ["shards"] and ["peers"]
-          here. Thunks must return valid JSON and be safe to call from a
-          connection thread. *)
+          here. Thunks must be safe to call from a connection thread; a
+          thunk that raises yields [null] for its section. *)
 }
 
 val config :
@@ -93,7 +93,7 @@ val config :
   ?tmp_sweep_age_s:float ->
   ?fault_crash_exit:bool ->
   ?flight_capacity:int ->
-  ?stats_extra:(string * (unit -> string)) list ->
+  ?stats_extra:(string * (unit -> Telemetry.Json.t)) list ->
   socket_path:string ->
   Serve.Service.config ->
   config

@@ -1,6 +1,6 @@
-(* Text expositions of a [Metrics.snapshot]: Prometheus 0.0.4 text
-   format for scrapers, and a compact JSON object for the daemon Stats
-   frame / BENCH_results.json. Both work on an immutable snapshot, so
+(* Expositions of a [Metrics.snapshot]: Prometheus 0.0.4 text format
+   for scrapers, and a [Json.t] object for the daemon Stats frame /
+   BENCH_results.json. Both work on an immutable snapshot, so
    they are safe to call while recorders run. *)
 
 (* Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. Our registry uses
@@ -63,39 +63,16 @@ let prometheus ?(prefix = "cosa") (snap : Metrics.snapshot) =
 
 (* ---- JSON --------------------------------------------------------------- *)
 
-let json_float v =
-  if not (Float.is_finite v) then "0"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
 let metrics_json (snap : Metrics.snapshot) =
-  let buf = Buffer.create 2048 in
-  let sep = ref false in
-  let comma () = if !sep then Buffer.add_char buf ',' else sep := true in
-  Buffer.add_string buf "{\"counters\":{";
-  List.iter
-    (fun (n, v) ->
-      comma ();
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (Trace.json_escape n) v))
-    snap.Metrics.counters;
-  Buffer.add_string buf "},\"gauges\":{";
-  sep := false;
-  List.iter
-    (fun (n, v) ->
-      comma ();
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%s" (Trace.json_escape n) (json_float v)))
-    snap.Metrics.gauges;
-  Buffer.add_string buf "},\"histograms\":{";
-  sep := false;
-  List.iter
-    (fun (n, (h : Metrics.hist_snapshot)) ->
-      comma ();
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"count\":%d,\"sum\":%s,\"p50\":%s,\"p95\":%s}"
-           (Trace.json_escape n) h.Metrics.count (json_float h.Metrics.sum)
-           (json_float (Metrics.hist_quantile h 0.5))
-           (json_float (Metrics.hist_quantile h 0.95))))
-    snap.Metrics.histograms;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let section f kvs = Json.Obj (List.map (fun (n, v) -> (n, f v)) kvs) in
+  Json.Obj
+    [ ("counters", section (fun v -> Json.Int v) snap.Metrics.counters);
+      ("gauges", section (fun v -> Json.Float v) snap.Metrics.gauges);
+      ("histograms",
+       section
+         (fun (h : Metrics.hist_snapshot) ->
+           Json.Obj
+             [ ("count", Json.Int h.Metrics.count); ("sum", Json.Float h.Metrics.sum);
+               ("p50", Json.Float (Metrics.hist_quantile h 0.5));
+               ("p95", Json.Float (Metrics.hist_quantile h 0.95)) ])
+         snap.Metrics.histograms) ]

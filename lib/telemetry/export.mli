@@ -1,4 +1,4 @@
-(** Text expositions of a [Metrics.snapshot].
+(** Expositions of a [Metrics.snapshot].
 
     Pure functions of an immutable snapshot — safe to call while
     recorders are running, and deterministic for a given snapshot. *)
@@ -10,16 +10,11 @@ val prometheus : ?prefix:string -> Metrics.snapshot -> string
     [_bucket{le="..."}] series plus [_sum] / [_count], counters and
     gauges get a [# TYPE] header each. *)
 
-val metrics_json : Metrics.snapshot -> string
+val metrics_json : Metrics.snapshot -> Json.t
 (** The snapshot as one JSON object:
     [{"counters":{..},"gauges":{..},"histograms":{name:{count,sum,p50,p95}}}].
     Histogram quantiles are bucket-upper-bound estimates
     (see [Metrics.hist_quantile]). *)
-
-val json_float : float -> string
-(** A float as a JSON number: integers below 1e15 without a fraction,
-    others with 9 significant digits, and non-finite values (which JSON
-    cannot express) as [0]. *)
 
 val mangle : string -> string
 (** The name mangling used by {!prometheus}. *)

@@ -97,24 +97,20 @@ let take_token event now =
   end
 
 let render ~ts ~lvl ~event ~req ~hop ~dropped fields =
-  let buf = Buffer.create 160 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"ts\":%.6f,\"level\":\"%s\",\"event\":\"%s\"" ts
-       (level_name lvl) (Trace.json_escape event));
-  (match req with
-   | Some id ->
-     Buffer.add_string buf
-       (Printf.sprintf ",\"req\":\"%s\"" (Trace.request_id_hex id));
-     if hop > 0 then Buffer.add_string buf (Printf.sprintf ",\"hop\":%d" hop)
-   | None -> ());
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\"%s\":\"%s\"" (Trace.json_escape k) (Trace.json_escape v)))
-    fields;
-  if dropped > 0 then Buffer.add_string buf (Printf.sprintf ",\"suppressed\":%d" dropped);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let tag =
+    match req with
+    | Some id ->
+      ("req", Json.String (Trace.request_id_hex id))
+      :: (if hop > 0 then [ ("hop", Json.Int hop) ] else [])
+    | None -> []
+  in
+  Json.to_string
+    (Json.Obj
+       ([ ("ts", Json.Float ts); ("level", Json.String (level_name lvl));
+          ("event", Json.String event) ]
+       @ tag
+       @ List.map (fun (k, v) -> (k, Json.String v)) fields
+       @ if dropped > 0 then [ ("suppressed", Json.Int dropped) ] else []))
 
 let emit lvl ?req event fields =
   if Atomic.get enabled_flag && level_rank lvl >= Atomic.get min_rank then begin

@@ -183,65 +183,34 @@ let events () =
 
 (* ---- JSON export ------------------------------------------------------- *)
 
+(* Kept for perfbench/harness.ml, which builds its own result line and
+   cannot move onto [Json] without changing the benchmark. *)
 let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  let q = Json.to_string (Json.String s) in
+  String.sub q 1 (String.length q - 2)
 
+(* One Chrome trace_event object; ts/dur in microseconds. *)
 let event_json ev =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,%s\"pid\":%d,\"tid\":%d"
-       (json_escape ev.name) (json_escape ev.cat)
-       (if ev.complete then "X" else "i")
-       (ev.ts *. 1e6)
-       (if ev.complete then Printf.sprintf "\"dur\":%.3f," (ev.dur *. 1e6) else "")
-       ev.pid ev.pid);
-  (match ev.args with
-   | [] -> ()
-   | args ->
-     Buffer.add_string buf ",\"args\":{";
-     List.iteri
-       (fun i (k, v) ->
-         if i > 0 then Buffer.add_char buf ',';
-         Buffer.add_string buf
-           (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-       args;
-     Buffer.add_char buf '}');
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let us x = Json.Float (x *. 1e6) in
+  Json.Obj
+    ([ ("name", Json.String ev.name); ("cat", Json.String ev.cat);
+       ("ph", Json.String (if ev.complete then "X" else "i")); ("ts", us ev.ts) ]
+    @ (if ev.complete then [ ("dur", us ev.dur) ] else [])
+    @ [ ("pid", Json.Int ev.pid); ("tid", Json.Int ev.pid) ]
+    @
+    match ev.args with
+    | [] -> []
+    | args -> [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) args)) ])
 
 let export_chrome () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (event_json ev))
-    (events ());
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [ ("traceEvents", Json.List (List.map event_json (events ())));
+         ("displayTimeUnit", Json.String "ms") ])
+  ^ "\n"
 
 let export_jsonl () =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun ev ->
-      Buffer.add_string buf (event_json ev);
-      Buffer.add_char buf '\n')
-    (events ());
-  Buffer.contents buf
+  String.concat "" (List.map (fun ev -> Json.to_string (event_json ev) ^ "\n") (events ()))
 
 let write_file path =
   let oc = open_out path in

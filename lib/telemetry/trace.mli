@@ -101,5 +101,6 @@ val profile_summary : unit -> string
 (** ASCII per-span wall-time table (the [--profile] report). *)
 
 val json_escape : string -> string
-(** JSON string-body escaping shared by the exporters (and by
-    [Telemetry.Log] / [Telemetry.Export]). *)
+(** The body of a JSON string literal, escaped by {!Json}'s rules.
+    Kept for [perfbench/harness.ml], which writes its own result line;
+    everything else builds a [Json.t]. *)

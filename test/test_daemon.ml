@@ -305,7 +305,7 @@ let qcheck_ladder_select =
 
 (* ---- live daemon: socket e2e, typed rejection, graceful drain --------- *)
 
-let with_temp_daemon ?(cache_dir = None) f =
+let with_temp_daemon ?(cache_dir = None) ?stats_extra f =
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "cosa_test_%d_%d.sock" (Unix.getpid ()) (Random.bits ()))
@@ -317,7 +317,7 @@ let with_temp_daemon ?(cache_dir = None) f =
   let admission = A.default_config ~queue_capacity:4 ~time_limit:0.6 () in
   let server =
     Daemon.Server.create
-      (Daemon.Server.config ~admission ?cache_dir ~default_budget_s:10.
+      (Daemon.Server.config ~admission ?cache_dir ?stats_extra ~default_budget_s:10.
          ~socket_path:sock service)
   in
   let thread = Daemon.Server.start server in
@@ -530,7 +530,12 @@ let test_daemon_drain_and_restart () =
    strictly read-only: request/admission counters and cache hit/miss
    accounting must be byte-for-byte what they were before the query. *)
 let test_stats_frame () =
-  with_temp_daemon (fun server sock ->
+  let module J = Telemetry.Json in
+  let stats_extra =
+    [ ("broken", fun () -> failwith "section thunk raised");
+      ("extra", fun () -> J.List [ J.Int 7 ]) ]
+  in
+  with_temp_daemon ~stats_extra (fun server sock ->
       let id = 0xfeed_face_1234_5678L in
       (match request ~req_id:id sock "3_56_64_64_1" with
        | Ok (P.Scheduled _) -> ()
@@ -563,6 +568,27 @@ let test_stats_frame () =
       check_bool "metrics embedded" true (contains full "\"metrics\":");
       let hex = Telemetry.Trace.request_id_hex id in
       check_bool "flight recorder carries the request id" true (contains full hex);
+      let parse what text =
+        match J.parse text with Ok j -> j | Error e -> Alcotest.fail (what ^ ": " ^ e)
+      in
+      let path j keys = List.fold_left (fun j k -> Option.bind j (J.member k)) (Some j) keys in
+      let snap = parse "Stats_full" full in
+      check_bool "snapshot_version member" true
+        (path snap [ "snapshot_version" ] = Some (J.Int 1));
+      check_bool "daemon.received member" true
+        (path snap [ "daemon"; "received" ] = Some (J.Int 2));
+      check_bool "a raising section is null" true (path snap [ "broken" ] = Some J.Null);
+      check_bool "other sections unaffected" true
+        (path snap [ "extra" ] = Some (J.List [ J.Int 7 ]));
+      let ids flight_json =
+        match flight_json with
+        | Some (J.List entries) -> List.map (fun e -> J.member "id" e) entries
+        | _ -> Alcotest.fail "flight is not a list"
+      in
+      check_bool "snapshot flight holds both requests, first by id" true
+        (match ids (path snap [ "flight" ]) with
+         | [ first; _ ] -> first = Some (J.String hex)
+         | _ -> false);
       let flight =
         match Daemon.Client.stats_ep ep P.Stats_flight with
         | Ok s -> s
@@ -571,6 +597,10 @@ let test_stats_frame () =
       check_bool "flight dump carries the request id" true (contains flight hex);
       check_bool "flight dump records the outcome" true
         (contains flight "\"verdict\":\"scheduled\"");
+      check_bool "flight dump parses, first entry by id" true
+        (match ids (Some (parse "Stats_flight" flight)) with
+         | [ first; _ ] -> first = Some (J.String hex)
+         | _ -> false);
       let prom =
         match Daemon.Client.stats_ep ep P.Stats_prometheus with
         | Ok s -> s

@@ -8,6 +8,7 @@ let check_bool = Alcotest.(check bool)
 
 module M = Telemetry.Metrics
 module T = Telemetry.Trace
+module J = Telemetry.Json
 
 (* Every test arms a sink and must leave the process-wide default (Null)
    behind, even on assertion failure — other suites assume telemetry off. *)
@@ -284,27 +285,105 @@ let test_export_prometheus () =
   check_bool "le=+Inf" true (contains text "cosa_exp_wait_s_bucket{le=\"+Inf\"} 3");
   check_bool "count" true (contains text "cosa_exp_wait_s_count 3");
   check_bool "name mangling" true (not (contains text "exp.requests-total"));
-  let js = Telemetry.Export.metrics_json (M.snapshot ()) in
+  let js = J.to_string (Telemetry.Export.metrics_json (M.snapshot ())) in
   check_bool "json counters" true (contains js "\"exp.requests-total\":3");
   check_bool "json histogram count" true (contains js "\"count\":3")
 
+(* ---- the JSON spine ------------------------------------------------------ *)
+
 (* JSON has no nan or infinity: a non-finite value prints as 0, both as a
-   bare number and inside a metrics object. *)
-let test_export_json_nonfinite () =
+   bare number and inside a metrics object. Finite floats read back
+   bit-exact, microsecond timestamps included. *)
+let test_json_numbers () =
   List.iter
-    (fun v -> Alcotest.(check string) "non-finite" "0" (Telemetry.Export.json_float v))
+    (fun v -> Alcotest.(check string) "non-finite" "0" (J.to_string (J.Float v)))
     [ nan; infinity; neg_infinity ];
-  Alcotest.(check string) "integer" "3" (Telemetry.Export.json_float 3.);
-  Alcotest.(check string) "fraction" "2.5" (Telemetry.Export.json_float 2.5);
+  Alcotest.(check string) "integer" "3" (J.to_string (J.Float 3.));
+  Alcotest.(check string) "fraction" "2.5" (J.to_string (J.Float 2.5));
+  List.iter
+    (fun v ->
+      match J.parse (J.to_string (J.Float v)) with
+      | Ok (J.Float r) ->
+        check_bool (Printf.sprintf "%h reads back bit-exact" v) true
+          (Int64.bits_of_float r = Int64.bits_of_float v)
+      | _ -> Alcotest.fail (Printf.sprintf "%h did not read back as a float" v))
+    [ 0.1; 1e-7; 1234567.891; 1754700000.123456; 1. /. 3. ];
   with_sink Telemetry.Sink.Memory @@ fun () ->
   M.set_gauge (M.gauge "exp.undefined") nan;
   M.set_gauge (M.gauge "exp.unbounded") infinity;
-  let js = Telemetry.Export.metrics_json (M.snapshot ()) in
+  let js = J.to_string (Telemetry.Export.metrics_json (M.snapshot ())) in
   List.iter
     (fun tok -> check_bool ("no " ^ tok) false (contains js tok))
     [ ":nan"; ":inf"; ":-inf"; ":-nan" ];
   check_bool "nan gauge as 0" true (contains js "\"exp.undefined\":0");
   check_bool "inf gauge as 0" true (contains js "\"exp.unbounded\":0")
+
+(* Numbers compare by value: [Float 3.] prints as 3 and reads back as
+   [Int 3]. *)
+let rec json_equal a b =
+  match (a, b) with
+  | (J.Int _ | J.Float _), (J.Int _ | J.Float _) ->
+    let f = function J.Int i -> float_of_int i | J.Float x -> x | _ -> nan in
+    f a = f b
+  | J.List xs, J.List ys -> List.length xs = List.length ys && List.for_all2 json_equal xs ys
+  | J.Obj xs, J.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (l, y) -> k = l && json_equal x y) xs ys
+  | _ -> a = b
+
+let json_gen =
+  let open QCheck.Gen in
+  (* quotes, backslashes, control and non-ASCII bytes beside plain text *)
+  let str =
+    let special = oneofl [ '"'; '\\'; '\n'; '\t'; '\001'; '\031'; '\127'; '\200'; '\255' ] in
+    string_size ~gen:(oneof [ special; printable ]) (0 -- 12)
+  in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.) float in
+  let leaf =
+    oneof
+      [ return J.Null; map (fun b -> J.Bool b) bool; map (fun i -> J.Int i) int;
+        map (fun f -> J.Float f) finite; map (fun f -> J.Float f) (float_bound_inclusive 1e7);
+        map (fun s -> J.String s) str ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> J.List l) (list_size (0 -- 4) (self (n / 4))));
+               (1, map (fun l -> J.Obj l) (list_size (0 -- 4) (pair str (self (n / 4))))) ])
+
+let qcheck_json_roundtrip =
+  QCheck.Test.make ~name:"json parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:J.to_string json_gen)
+    (fun v ->
+      match J.parse (J.to_string v) with
+      | Ok w -> json_equal v w
+      | Error e -> QCheck.Test.fail_report e)
+
+let test_json_rejects () =
+  List.iter
+    (fun (label, text) ->
+      match J.parse text with
+      | Ok _ -> Alcotest.fail (label ^ ": accepted " ^ String.escaped text)
+      | Error e ->
+        check_bool (label ^ " error names a byte offset") true (contains e "at byte"))
+    [ ("truncated true", "tru"); ("truncated null", "nul");
+      ("trailing comma", "{\"a\":1,}"); ("missing comma", "[1 2]");
+      ("trailing garbage", "{} x"); ("unterminated string", "\"abc");
+      ("raw control byte", "\"a\001b\""); ("empty input", "") ];
+  (match J.parse "{\"a\":[1,2.5,\"\\u00e9\\ud83d\\ude00\"],\"b\":null}" with
+   | Ok v ->
+     check_bool "members, ints, floats and \\u escapes" true
+       (J.member "a" v
+        = Some (J.List [ J.Int 1; J.Float 2.5; J.String "\xc3\xa9\xf0\x9f\x98\x80" ])
+       && J.member "b" v = Some J.Null && J.member "c" v = None)
+   | Error e -> Alcotest.fail e);
+  match J.parse "[1,\n  2,\n  x]" with
+  | Error e ->
+    Alcotest.(check string) "offset of the bad byte" "unexpected character at byte 11" e
+  | Ok _ -> Alcotest.fail "accepted a bare word"
 
 (* ---- snapshot consistency under concurrent mutation (jobs=4) ---------- *)
 
@@ -360,7 +439,8 @@ let suite =
       Alcotest.test_case "log JSONL shape and levels" `Quick test_log_jsonl_and_levels;
       Alcotest.test_case "log rate limiting" `Quick test_log_rate_limit;
       Alcotest.test_case "prometheus exposition" `Quick test_export_prometheus;
-      Alcotest.test_case "json numbers: nan/inf print as 0" `Quick
-        test_export_json_nonfinite;
+      Alcotest.test_case "json numbers: nan/inf print as 0" `Quick test_json_numbers;
+      Alcotest.test_case "json rejects malformed input" `Quick test_json_rejects;
+      QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
       Alcotest.test_case "snapshot under concurrent mutation" `Quick test_snapshot_concurrent;
     ] )
