@@ -9,8 +9,8 @@
    Besides the human-readable report on stdout, the harness accumulates a
    machine-readable summary — per-experiment wall time plus a telemetry
    snapshot (branch-and-bound nodes, simplex iterations, cache hit rates,
-   micro-kernel ns/run) — and writes it to BENCH_results.json so CI and
-   regression tooling can diff runs without parsing tables. *)
+   micro-kernel ns and bytes per run) — and writes it to BENCH_results.json
+   so CI and regression tooling can diff runs without parsing tables. *)
 
 (* ---- machine-readable results ---------------------------------------- *)
 
@@ -135,40 +135,47 @@ let micro_benchmarks () =
   let lu_alpha = Array.make lu_m 0. in
   let lu_cost = Array.init lu_m (fun i -> if i mod 3 = 0 then 1. else 0.) in
   let lu_y = Array.make lu_m 0. in
-  let tests =
+  let kernels =
     [
       (* figs 1/3/4, 6-9: every data point is one analytical-model call *)
-      Test.make ~name:"model_evaluate(fig1,3,4,6-9)"
-        (Staged.stage (fun () -> ignore (Model.evaluate arch mapping)));
+      ("model_evaluate(fig1,3,4,6-9)", fun () -> ignore (Model.evaluate arch mapping));
       (* tab6 + all CoSA rows: LP relaxation solve inside branch-and-bound *)
-      Test.make ~name:"simplex_solve(tab6,cosa)"
-        (Staged.stage (fun () -> ignore (Milp.Simplex.solve relaxed)));
+      ("simplex_solve(tab6,cosa)", fun () -> ignore (Milp.Simplex.solve relaxed));
       (* per-pivot kernels of the incremental LU engine: sparse FTRAN of
          the densest structural column, BTRAN of a sparse cost vector *)
-      Test.make ~name:(Printf.sprintf "lu_ftran(m=%d)" lu_m)
-        (Staged.stage (fun () -> Milp.Lu.ftran lu lu_col lu_alpha));
-      Test.make ~name:(Printf.sprintf "lu_btran(m=%d)" lu_m)
-        (Staged.stage (fun () -> Milp.Lu.btran lu lu_cost lu_y));
+      (Printf.sprintf "lu_ftran(m=%d)" lu_m, fun () -> Milp.Lu.ftran lu lu_col lu_alpha);
+      (Printf.sprintf "lu_btran(m=%d)" lu_m, fun () -> Milp.Lu.btran lu lu_cost lu_y);
       (* fig1: one valid-schedule sample *)
-      Test.make ~name:"sampler_valid(fig1)"
-        (Staged.stage (fun () -> ignore (Sampler.valid rng arch layer)));
+      ("sampler_valid(fig1)", fun () -> ignore (Sampler.valid rng arch layer));
+      (* tab6: the Random baseline's per-sample cost is one raw draw plus
+         one validation *)
+      ("sampler_raw(tab6)", fun () -> ignore (Sampler.raw rng arch layer));
+      ("mapping_validate(tab6)", fun () -> ignore (Mapping.validate arch mapping));
       (* fig10: one NoC-simulator cycle on a loaded mesh *)
-      Test.make ~name:"mesh_cycle(fig10)"
-        (Staged.stage
-           (let mesh = Mesh.create arch.Spec.noc in
-            let pkt =
-              Packet.make ~id:0 ~src:(-1) ~dests:[ 0; 5; 10; 15 ] ~flits:8
-                ~tensor:Dims.W ~step:0
-            in
-            fun () ->
-              if Mesh.idle mesh then Mesh.inject mesh Mesh.Gb pkt;
-              Mesh.step mesh));
+      ( "mesh_cycle(fig10)",
+        let mesh = Mesh.create arch.Spec.noc in
+        let pkt =
+          Packet.make ~id:0 ~src:(-1) ~dests:[ 0; 5; 10; 15 ] ~flits:8 ~tensor:Dims.W ~step:0
+        in
+        fun () ->
+          if Mesh.idle mesh then Mesh.inject mesh Mesh.Gb pkt;
+          Mesh.step mesh );
       (* fig11: one CoSA-GPU one-shot schedule *)
-      Test.make ~name:"gpu_cosa_schedule(fig11)"
-        (Staged.stage (fun () ->
-             ignore (Gpu.cosa_schedule Gpu.k80 (Gpu.gemm_of_layer layer))));
+      ( "gpu_cosa_schedule(fig11)",
+        fun () -> ignore (Gpu.cosa_schedule Gpu.k80 (Gpu.gemm_of_layer layer)) );
     ]
   in
+  (* minor-heap bytes per run, counted directly: up to 1000 runs or 0.2 s *)
+  let bytes_per_run f =
+    let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
+    let runs = ref 0 in
+    while !runs < 1000 && Unix.gettimeofday () -. t0 < 0.2 do
+      f ();
+      incr runs
+    done;
+    (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8) /. float_of_int !runs
+  in
+  let tests = List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) kernels in
   print_newline ();
   print_endline "Micro-benchmarks (Bechamel, monotonic clock)";
   print_endline "============================================";
@@ -189,8 +196,13 @@ let micro_benchmarks () =
         (fun name est ->
           match Analyze.OLS.estimates est with
           | Some [ ns ] ->
-            Printf.printf "  %-32s %12.1f ns/run\n" name ns;
-            rows := J.Obj [ ("name", J.String name); ("ns_per_run", J.Float ns) ] :: !rows
+            let bytes = bytes_per_run (List.assoc name kernels) in
+            Printf.printf "  %-32s %12.1f ns/run %10.0f B/run\n" name ns bytes;
+            rows :=
+              J.Obj
+                [ ("name", J.String name); ("ns_per_run", J.Float ns);
+                  ("bytes_per_run", J.Float bytes) ]
+              :: !rows
           | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
         analyzed)
     tests;

@@ -21,34 +21,27 @@ let fi = float_of_int
 let storage_chain arch v =
   List.filter (fun i -> Spec.stores arch i v) (List.init (Spec.level_count arch) Fun.id)
 
-(* Flattened temporal loops at levels >= lo, outermost first. *)
-let flat_temporal (m : Mapping.t) ~lo =
-  let acc = ref [] in
-  for i = lo to Array.length m.Mapping.levels - 1 do
-    (* prepend levels from inner to outer so the outermost level ends up first *)
-    acc := m.Mapping.levels.(i).Mapping.temporal @ !acc
-  done;
-  !acc
-
 (* Number of times the tile of [v] held at level [lo] is replaced over the
    whole execution: the product of all flattened temporal loop bounds from
    the outermost loop down to (and including) the innermost loop relevant
    to [v]. Irrelevant loops nested inside the innermost relevant loop rescan
-   the resident tile and are free. *)
-let refills m v ~lo =
-  let loops = flat_temporal m ~lo in
-  let rec innermost_relevant idx best = function
-    | [] -> best
-    | (l : Mapping.loop) :: rest ->
-      let best =
-        if l.Mapping.bound > 1 && Dims.model_relevant l.Mapping.dim v then idx else best
-      in
-      innermost_relevant (idx + 1) best rest
-  in
-  let cut = innermost_relevant 0 (-1) loops in
+   the resident tile and are free. The loops at levels >= [lo] are the
+   view's first [tend.(lo)]. *)
+let refills_in (vw : Mapping.view) v ~lo =
+  let n = vw.Mapping.tend.(min lo vw.Mapping.nlev) in
+  let cut = ref (-1) in
+  for idx = 0 to n - 1 do
+    if vw.Mapping.tbound.(idx) > 1
+       && Dims.model_relevant (Dims.dim_of_index vw.Mapping.tdim.(idx)) v
+    then cut := idx
+  done;
   let prod = ref 1. in
-  List.iteri (fun idx (l : Mapping.loop) -> if idx <= cut then prod := !prod *. fi l.Mapping.bound) loops;
+  for idx = 0 to !cut do
+    prod := !prod *. fi vw.Mapping.tbound.(idx)
+  done;
   !prod
+
+let refills m v ~lo = refills_in (Mapping.view m) v ~lo
 
 (* Spatial bound products over levels in [lo, hi), split by relevance. *)
 let spatial_split m v ~lo ~hi =
@@ -62,21 +55,16 @@ let spatial_split m v ~lo ~hi =
   done;
   (!rel, !irrel)
 
-let instances m ~lo =
-  let acc = ref 1 in
-  for i = lo to Array.length m.Mapping.levels - 1 do
-    acc := !acc * List.fold_left (fun a (l : Mapping.loop) -> a * l.Mapping.bound) 1
-             m.Mapping.levels.(i).Mapping.spatial
-  done;
-  !acc
-
 (* Any temporal reduction loop (irrelevant to OA) with bound > 1 at levels
    >= lo forces read-modify-write accumulation at that storage level. *)
-let reduction_above m ~lo =
-  List.exists
-    (fun (l : Mapping.loop) ->
-      l.Mapping.bound > 1 && not (Dims.model_relevant l.Mapping.dim Dims.OA))
-    (flat_temporal m ~lo)
+let reduction_above (vw : Mapping.view) ~lo =
+  let found = ref false in
+  for idx = 0 to vw.Mapping.tend.(min lo vw.Mapping.nlev) - 1 do
+    if vw.Mapping.tbound.(idx) > 1
+       && not (Dims.model_relevant (Dims.dim_of_index vw.Mapping.tdim.(idx)) Dims.OA)
+    then found := true
+  done;
+  !found
 
 (* Evaluations happen everywhere — objective scoring, heuristic sampling,
    report expansion — so the counter is the cheapest proxy for total
@@ -86,24 +74,24 @@ let m_evaluations = Telemetry.Metrics.counter "model.evaluations"
 let evaluate arch (m : Mapping.t) =
   Telemetry.Metrics.incr m_evaluations;
   let nlev = Spec.level_count arch in
-  let counts =
-    Array.init nlev (fun i ->
-        Array.map
-          (fun v -> { tile = Mapping.tile_words arch m i v; fills = 0.; reads = 0.; updates = 0. })
-          (Array.of_list Dims.all_tensors))
+  let vw = Mapping.view m in
+  let tile i v = Mapping.tile_of_cum ~stride:m.Mapping.layer.Layer.stride vw.Mapping.cum (7 * i) v in
+  (* instances.(lo): the product of the spatial bounds at levels >= lo *)
+  let instances = Array.make (nlev + 1) 1 in
+  for i = nlev - 1 downto 0 do
+    instances.(i) <- instances.(i + 1) * vw.Mapping.sprod.(i)
+  done;
+  (* per [3*level + tensor index], summed in the order the chain walks
+     below visit them: that order fixes every float's rounding, and
+     [test/model_ref.ml] pins it bit for bit *)
+  let fills = Array.make (3 * nlev) 0.
+  and reads = Array.make (3 * nlev) 0.
+  and updates = Array.make (3 * nlev) 0. in
+  let add a i v x =
+    let k = (3 * i) + Dims.tensor_index v in
+    a.(k) <- a.(k) +. x
   in
-  let add_fills i v x =
-    let vi = Dims.tensor_index v in
-    counts.(i).(vi) <- { (counts.(i).(vi)) with fills = counts.(i).(vi).fills +. x }
-  in
-  let add_reads i v x =
-    let vi = Dims.tensor_index v in
-    counts.(i).(vi) <- { (counts.(i).(vi)) with reads = counts.(i).(vi).reads +. x }
-  in
-  let add_updates i v x =
-    let vi = Dims.tensor_index v in
-    counts.(i).(vi) <- { (counts.(i).(vi)) with updates = counts.(i).(vi).updates +. x }
-  in
+  let add_fills = add fills and add_reads = add reads and add_updates = add updates in
   let noc_traffic = ref [] in
   (* Inputs and weights flow downward through their storage chains. *)
   List.iter
@@ -111,13 +99,13 @@ let evaluate arch (m : Mapping.t) =
       let chain = storage_chain arch v in
       let rec walk = function
         | child :: (parent :: _ as rest) ->
-          let tile = Mapping.tile_words arch m child v in
-          let refill = refills m v ~lo:child in
-          let inst_child = instances m ~lo:child in
+          let tile = tile child v in
+          let refill = refills_in vw v ~lo:child in
+          let inst_child = instances.(child) in
           let rel, irrel = spatial_split m v ~lo:child ~hi:parent in
           let total_fills = refill *. tile *. fi inst_child in
           add_fills child v total_fills;
-          let inst_parent = instances m ~lo:parent in
+          let inst_parent = instances.(parent) in
           let multicast_ok =
             if parent > arch.Spec.noc_level && child <= arch.Spec.noc_level then
               arch.Spec.noc.Spec.multicast
@@ -144,18 +132,18 @@ let evaluate arch (m : Mapping.t) =
   let chain = storage_chain arch v in
   let rec walk = function
     | child :: (parent :: _ as rest) ->
-      let tile = Mapping.tile_words arch m child v in
-      let refill = refills m v ~lo:child in
-      let inst_child = instances m ~lo:child in
+      let tile = tile child v in
+      let refill = refills_in vw v ~lo:child in
+      let inst_child = instances.(child) in
       let rel, irrel = spatial_split m v ~lo:child ~hi:parent in
       let drains = refill *. tile *. fi inst_child in
       (* child is read once per drain to push partial sums up *)
       add_reads child v drains;
-      let inst_parent = instances m ~lo:parent in
+      let inst_parent = instances.(parent) in
       (* reduction collapses the spatially-irrelevant copies before the write *)
       let parent_writes = refill *. tile *. fi rel *. fi inst_parent in
       add_updates parent v parent_writes;
-      if reduction_above m ~lo:parent then add_reads parent v parent_writes;
+      if reduction_above vw ~lo:parent then add_reads parent v parent_writes;
       if child <= arch.Spec.noc_level && parent > arch.Spec.noc_level then
         noc_traffic :=
           (v, { tile_words = tile; steps = refill; distinct = rel; multicast = irrel })
@@ -164,15 +152,22 @@ let evaluate arch (m : Mapping.t) =
     | [ _ ] | [] -> ()
   in
   walk chain;
-  (* compute *)
-  let compute_cycles =
-    Array.fold_left
-      (fun acc lm ->
-        List.fold_left (fun a (l : Mapping.loop) -> a *. fi l.Mapping.bound) acc
-          lm.Mapping.temporal)
-      1. m.Mapping.levels
+  let counts =
+    Array.init nlev (fun i ->
+        Array.init 3 (fun vi ->
+            let k = (3 * i) + vi in
+            { tile = tile i (Dims.tensor_of_index vi); fills = fills.(k); reads = reads.(k);
+              updates = updates.(k) }))
   in
-  let spatial_all = fi (instances m ~lo:0) in
+  (* compute: levels innermost first, each level's loops in list order *)
+  let compute_cycles = ref 1. in
+  for i = 0 to vw.Mapping.nlev - 1 do
+    for idx = vw.Mapping.tend.(i + 1) to vw.Mapping.tend.(i) - 1 do
+      compute_cycles := !compute_cycles *. fi vw.Mapping.tbound.(idx)
+    done
+  done;
+  let compute_cycles = !compute_cycles in
+  let spatial_all = fi instances.(0) in
   let macs = compute_cycles *. spatial_all in
   let avail =
     Array.fold_left (fun acc (l : Spec.level) -> acc * l.Spec.fanout) 1 arch.Spec.levels
@@ -190,7 +185,7 @@ let evaluate arch (m : Mapping.t) =
           if i = Spec.dram_level arch then arch.Spec.dram.Spec.dram_bandwidth_words
           else arch.Spec.levels.(i).Spec.bandwidth_words
         in
-        words /. fi (instances m ~lo:i) /. bw)
+        words /. fi instances.(i) /. bw)
   in
   let latency = Array.fold_left max compute_cycles transfer_cycles in
   (* energy *)

@@ -4,10 +4,11 @@ let log_prod x = if x <= 0 then 0. else log (float_of_int x)
 
 let of_mapping ?(weights = Cosa_formulation.default_weights) arch (m : Mapping.t) =
   let nlev = Spec.level_count arch in
+  let cum = (Mapping.view m).Mapping.cum in
   let tile_log level v =
     List.fold_left
       (fun acc d ->
-        if Dims.relevant d v then acc +. log_prod (Mapping.dim_product m ~upto:level d)
+        if Dims.relevant d v then acc +. log_prod cum.((7 * level) + Dims.dim_index d)
         else acc)
       0. Dims.all_dims
   in

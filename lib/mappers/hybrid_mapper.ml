@@ -16,17 +16,24 @@ let noc_orders arch (m : Mapping.t) ~cap rng =
              m.Mapping.levels.(i).Mapping.temporal)
          lvls)
   in
-  let rec permutations = function
-    | [] -> [ [] ]
-    | l ->
-      List.concat_map
-        (fun x -> List.map (fun rest -> x :: rest) (permutations (List.filter (( <> ) x) l)))
-        l
+  (* The lexicographic permutations of [present], shuffled: shuffle their
+     ranks (the draws depend only on how many there are), then unrank the
+     first [cap]. *)
+  let n = List.length present in
+  let fact = Array.make (n + 1) 1 in
+  for i = 1 to n do
+    fact.(i) <- fact.(i - 1) * i
+  done;
+  let ranks = Array.init fact.(n) Fun.id in
+  Prim.Rng.shuffle rng ranks;
+  (* [k + 1] dims are [left] *)
+  let rec unrank r left k =
+    if k < 0 then []
+    else
+      let d = List.nth left (r / fact.(k)) in
+      d :: unrank (r mod fact.(k)) (List.filter (( <> ) d) left) (k - 1)
   in
-  let all = Array.of_list (permutations present) in
-  Prim.Rng.shuffle rng all;
-  let n = min cap (Array.length all) in
-  (lvls, Array.to_list (Array.sub all 0 n))
+  (lvls, List.init (min cap fact.(n)) (fun i -> unrank ranks.(i) present (n - 1)))
 
 let with_order (m : Mapping.t) lvls order =
   let levels =

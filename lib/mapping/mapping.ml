@@ -6,16 +6,57 @@ type t = { layer : Layer.t; levels : level_map array }
 
 let make layer levels = { layer; levels }
 
-let loops_product loops d =
-  List.fold_left (fun acc l -> if l.dim = d then acc * l.bound else acc) 1 loops
+(* The flat per-mapping view: one walk over the loop lists, then every
+   product the checks and the analytical model need is an array read. *)
+type view = {
+  nlev : int;
+  cum : int array;
+  sprod : int array;
+  tdim : int array;
+  tbound : int array;
+  tend : int array;
+}
+
+(* Multiply level [i]'s loops into block [o] of [cum]; temporal loops also
+   land in the flat arrays from position [k], spatial ones in [sprod.(i)]. *)
+let rec add_temporal vw o k = function
+  | [] -> ()
+  | l :: rest ->
+    let di = Dims.dim_index l.dim in
+    vw.tdim.(k) <- di;
+    vw.tbound.(k) <- l.bound;
+    vw.cum.(o + di) <- vw.cum.(o + di) * l.bound;
+    add_temporal vw o (k + 1) rest
+
+let rec add_spatial vw o i = function
+  | [] -> ()
+  | l :: rest ->
+    let di = Dims.dim_index l.dim in
+    vw.cum.(o + di) <- vw.cum.(o + di) * l.bound;
+    vw.sprod.(i) <- vw.sprod.(i) * l.bound;
+    add_spatial vw o i rest
+
+let view t =
+  let nlev = Array.length t.levels in
+  let tend = Array.make (nlev + 1) 0 in
+  for i = nlev - 1 downto 0 do
+    tend.(i) <- tend.(i + 1) + List.length t.levels.(i).temporal
+  done;
+  let vw =
+    { nlev; cum = Array.make ((nlev + 1) * 7) 1; sprod = Array.make nlev 1;
+      tdim = Array.make tend.(0) 0; tbound = Array.make tend.(0) 0; tend }
+  in
+  for i = 0 to nlev - 1 do
+    let o = 7 * (i + 1) in
+    Array.blit vw.cum (o - 7) vw.cum o 7;
+    add_temporal vw o tend.(i + 1) t.levels.(i).temporal;
+    add_spatial vw o i t.levels.(i).spatial
+  done;
+  vw
 
 let dim_product t ~upto d =
-  let acc = ref 1 in
-  for i = 0 to min (upto - 1) (Array.length t.levels - 1) do
-    let lm = t.levels.(i) in
-    acc := !acc * loops_product lm.temporal d * loops_product lm.spatial d
-  done;
-  !acc
+  let vw = view t in
+  vw.cum.((7 * max 0 (min upto vw.nlev)) + Dims.dim_index d)
 
 let spatial_product t i =
   List.fold_left (fun acc l -> acc * l.bound) 1 t.levels.(i).spatial
@@ -23,29 +64,51 @@ let spatial_product t i =
 let temporal_product t i =
   List.fold_left (fun acc l -> acc * l.bound) 1 t.levels.(i).temporal
 
-(* Tile extent of tensor [v] as held by buffer level [i]: the product of its
-   relevant dimension tiles below [i]. IA gets the exact sliding-window
+(* Tile extent of tensor [v] over the dim products in block [o] of [cum]
+   (indices R=0 S=1 P=2 Q=3 C=4 K=5 N=6). IA gets the exact sliding-window
    extent ((p-1)*stride + r per axis). *)
-let tile_words arch t i v =
-  let d = dim_product t ~upto:i in
-  let stride = t.layer.Layer.stride in
-  ignore arch;
-  match v with
-  | Dims.W -> float_of_int (d Dims.R * d Dims.S * d Dims.C * d Dims.K)
-  | Dims.OA -> float_of_int (d Dims.P * d Dims.Q * d Dims.K * d Dims.N)
+let tile_of_cum ~stride cum o = function
+  | Dims.W -> float_of_int (cum.(o) * cum.(o + 1) * cum.(o + 4) * cum.(o + 5))
+  | Dims.OA -> float_of_int (cum.(o + 2) * cum.(o + 3) * cum.(o + 5) * cum.(o + 6))
   | Dims.IA ->
-    let w = ((d Dims.P - 1) * stride) + d Dims.R in
-    let h = ((d Dims.Q - 1) * stride) + d Dims.S in
-    float_of_int (w * h * d Dims.C * d Dims.N)
+    let w = ((cum.(o + 2) - 1) * stride) + cum.(o) in
+    let h = ((cum.(o + 3) - 1) * stride) + cum.(o + 1) in
+    float_of_int (w * h * cum.(o + 4) * cum.(o + 6))
+
+let tile_words arch t i v =
+  ignore arch;
+  let vw = view t in
+  tile_of_cum ~stride:t.layer.Layer.stride vw.cum (7 * max 0 (min i vw.nlev)) v
 
 type violation =
   | Bad_factorization of Dims.dim * int * int
   | Spatial_overflow of int * int * int
   | Buffer_overflow of int * Dims.tensor * float * float
 
-let validate arch t =
+let capacities arch =
+  let dram = Spec.dram_level arch in
+  Array.init (3 * Spec.level_count arch) (fun k ->
+      let i = k / 3 and v = Dims.tensor_of_index (k mod 3) in
+      if i <> dram && Spec.stores arch i v then Spec.capacity_words arch i v else infinity)
+
+let iter_overflows arch caps ~stride vw report =
+  for i = 0 to vw.nlev - 1 do
+    let fanout = arch.Spec.levels.(i).Spec.fanout in
+    if vw.sprod.(i) > fanout then report (Spatial_overflow (i, vw.sprod.(i), fanout))
+  done;
+  for i = 0 to vw.nlev - 1 do
+    for vi = 0 to 2 do
+      let cap = caps.((3 * i) + vi) in
+      if cap < infinity then begin
+        let v = Dims.tensor_of_index vi in
+        let words = tile_of_cum ~stride vw.cum (7 * i) v in
+        if words > cap then report (Buffer_overflow (i, v, words, cap))
+      end
+    done
+  done
+
+let iter_violations arch t report =
   let nlev = Array.length t.levels in
-  let violations = ref [] in
   if nlev <> Spec.level_count arch then
     (* typed, not [Invalid_argument]: validate runs inside the scheduling
        pipeline, which surfaces every failure as a [Robust.Failure.t] *)
@@ -53,31 +116,23 @@ let validate arch t =
       (Robust.Failure.Error
          (Robust.Failure.Invalid_input
             "Mapping.validate: level count mismatch with architecture"));
-  List.iter
-    (fun d ->
-      let prod = dim_product t ~upto:nlev d in
-      let expect = Layer.padded_bound t.layer d in
-      if prod <> expect then violations := Bad_factorization (d, prod, expect) :: !violations)
-    Dims.all_dims;
-  for i = 0 to nlev - 1 do
-    let used = spatial_product t i in
-    let fanout = arch.Spec.levels.(i).Spec.fanout in
-    if used > fanout then violations := Spatial_overflow (i, used, fanout) :: !violations
+  let vw = view t in
+  for di = 0 to 6 do
+    let d = Dims.dim_of_index di in
+    let prod = vw.cum.((7 * nlev) + di) and expect = Layer.padded_bound t.layer d in
+    if prod <> expect then report (Bad_factorization (d, prod, expect))
   done;
-  for i = 0 to nlev - 1 do
-    if i <> Spec.dram_level arch then
-      List.iter
-        (fun v ->
-          if Spec.stores arch i v then begin
-            let words = tile_words arch t i v in
-            let cap = Spec.capacity_words arch i v in
-            if words > cap then violations := Buffer_overflow (i, v, words, cap) :: !violations
-          end)
-        Dims.all_tensors
-  done;
+  iter_overflows arch (capacities arch) ~stride:t.layer.Layer.stride vw report
+
+let validate arch t =
+  let violations = ref [] in
+  iter_violations arch t (fun v -> violations := v :: !violations);
   List.rev !violations
 
-let is_valid arch t = validate arch t = []
+let is_valid arch t =
+  match iter_violations arch t (fun _ -> raise_notrace Exit) with
+  | () -> true
+  | exception Exit -> false
 
 let violation_to_string = function
   | Bad_factorization (d, prod, expect) ->

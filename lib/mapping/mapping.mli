@@ -46,6 +46,39 @@ val validate : Spec.t -> t -> violation list
 
 val is_valid : Spec.t -> t -> bool
 
+(** {2 Flat view}
+
+    Every product the checks above and the analytical model read, from one
+    walk over the loop lists. Integer products do not depend on the order
+    of multiplication, so each equals the list-walking value. *)
+
+type view = {
+  nlev : int;
+  cum : int array;  (** [(nlev+1) x 7]: [cum.(7*i + dim_index d) = dim_product ~upto:i d] *)
+  sprod : int array;  (** per level: {!spatial_product} *)
+  tdim : int array;
+      (** every temporal loop, outermost first (level [nlev-1]'s in list
+          order, then [nlev-2]'s, ...): dim index ... *)
+  tbound : int array;  (** ... and bound *)
+  tend : int array;  (** [nlev+1]: the loops at levels [>= i] are [0 .. tend.(i)-1] *)
+}
+
+val view : t -> view
+
+val tile_of_cum : stride:int -> int array -> int -> Dims.tensor -> float
+(** [tile_of_cum ~stride cum o v]: {!tile_words} over the dim products
+    [cum.(o) .. cum.(o+6)]. *)
+
+val capacities : Spec.t -> float array
+(** [3 * level + tensor index]: the capacity {!validate} checks, [infinity]
+    for DRAM and bypassed tensors. *)
+
+val iter_overflows :
+  Spec.t -> float array -> stride:int -> view -> (violation -> unit) -> unit
+(** {!validate}'s [Spatial_overflow] and [Buffer_overflow] checks, in its
+    order. The constructive sampler runs them on a view of its partial
+    mapping that it updates in place. *)
+
 val violation_to_string : violation -> string
 
 val total_temporal : t -> int

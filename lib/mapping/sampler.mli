@@ -15,4 +15,6 @@ val raw : Prim.Rng.t -> Spec.t -> Layer.t -> Mapping.t
 
 val valid : ?max_attempts:int -> Prim.Rng.t -> Spec.t -> Layer.t -> Mapping.t option
 (** A random valid mapping, or [None] if construction failed
-    [max_attempts] (default 50) times. *)
+    [max_attempts] (default 50) times. Each [None] (including one forced by
+    the [sampler.valid] fault point) counts in the
+    [sampler.valid.exhausted] counter. *)

@@ -32,7 +32,13 @@ let grouped_factors n =
   in
   group fs
 
-let smooth max_prime n = List.for_all (fun p -> p <= max_prime) (prime_factors n)
+(* Divide out every p in 2..max_prime (composites never divide once their
+   prime factors are gone): allocation-free, as [Mapping.validate] pads all
+   seven loop bounds on every call. *)
+let smooth max_prime n =
+  let rec strip n p = if n mod p = 0 then strip (n / p) p else n in
+  let rec go n p = if p > max_prime then n = 1 else go (strip n p) (p + 1) in
+  go n 2
 
 let pad_to_factorable ?(max_prime = 7) n =
   if n < 1 then invalid_arg "Factorize.pad_to_factorable: n < 1";

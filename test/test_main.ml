@@ -16,6 +16,7 @@ let () =
       Test_mapspace_network.suite;
       Test_model.suite;
       Test_model_counts.suite;
+      Test_model_equiv.suite;
       Test_noc.suite;
       Test_robust.suite;
       Test_mesh_wormhole.suite;

@@ -180,6 +180,27 @@ let prop_valid_sampler_validates =
       | Some m -> Mapping.is_valid arch m
       | None -> true)
 
+(* [sampler.valid.exhausted] counts every [None] from the constructive
+   sampler — a fault at [sampler.valid] or running out of attempts — and
+   nothing else *)
+let test_valid_exhaustion_counted () =
+  let module M = Telemetry.Metrics in
+  Telemetry.Sink.set Telemetry.Sink.Memory;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.Sink.set Telemetry.Sink.Null)
+    (fun () ->
+      let exhausted () = M.counter_value (M.snapshot ()) "sampler.valid.exhausted" in
+      let before = exhausted () in
+      check_bool "samples" true (Sampler.valid (Prim.Rng.create 1) arch small_layer <> None);
+      check_int "a success is not counted" before (exhausted ());
+      Robust.Fault.with_faults ~rate:1. ~only:[ "sampler.valid" ] 3 (fun () ->
+          check_bool "fault forces exhaustion" true
+            (Sampler.valid (Prim.Rng.create 1) arch small_layer = None));
+      check_int "the faulted call is counted" (before + 1) (exhausted ());
+      check_bool "no attempts left" true
+        (Sampler.valid ~max_attempts:0 (Prim.Rng.create 1) arch small_layer = None);
+      check_int "running out of attempts is counted" (before + 2) (exhausted ()))
+
 let suite =
   let qc = QCheck_alcotest.to_alcotest in
   ( "mapping",
@@ -195,4 +216,6 @@ let suite =
       Alcotest.test_case "fingerprint" `Quick test_fingerprint;
       qc prop_raw_sampler_factorizes;
       qc prop_valid_sampler_validates;
+      Alcotest.test_case "valid sampler exhaustion counted" `Quick
+        test_valid_exhaustion_counted;
     ] )

@@ -55,6 +55,15 @@ let prop_pad_smooth =
       let m = Prim.Factorize.pad_to_factorable n in
       m >= n && List.for_all (fun p -> p <= 7) (Prim.Factorize.prime_factors m))
 
+(* the allocation-free smoothness test against the prime factorisation *)
+let prop_pad_least_smooth =
+  QCheck.Test.make ~name:"pad_to_factorable is the least smooth m >= n" ~count:300
+    QCheck.(pair (int_range 1 20_000) (oneofl [ 2; 3; 5; 7; 11 ]))
+    (fun (n, max_prime) ->
+      let smooth m = List.for_all (fun p -> p <= max_prime) (Prim.Factorize.prime_factors m) in
+      let rec least m = if smooth m then m else least (m + 1) in
+      Prim.Factorize.pad_to_factorable ~max_prime n = least n)
+
 let prop_divisors_divide =
   QCheck.Test.make ~name:"divisors divide n" ~count:200
     QCheck.(int_range 1 10_000)
@@ -290,6 +299,7 @@ let suite =
       qc prop_factor_product;
       qc prop_factors_prime;
       qc prop_pad_smooth;
+      qc prop_pad_least_smooth;
       qc prop_divisors_divide;
       qc prop_geomean_bounded;
       qc prop_percentile_monotone;
