@@ -81,6 +81,7 @@ let m_src_trivial = Telemetry.Metrics.counter "cosa.source.trivial"
 let m_cert_ok = Telemetry.Metrics.counter "cosa.cert.ok"
 let m_cert_failed = Telemetry.Metrics.counter "cosa.cert.failed"
 let m_fallbacks = Telemetry.Metrics.counter "cosa.fallback_steps"
+let m_repairs = Telemetry.Metrics.counter "cosa.repairs"
 
 let source_counter = function
   | Milp_joint -> m_src_joint
@@ -131,6 +132,7 @@ let schedule_impl ?weights ?(strategy = Auto) ?(node_limit = 50_000) ?(time_limi
     let fallback_chain = chain () in
     Telemetry.Metrics.incr (source_counter source);
     Telemetry.Metrics.add m_fallbacks (List.length fallback_chain);
+    if repaired then Telemetry.Metrics.incr m_repairs;
     (match certification with
      | Cert_ok -> Telemetry.Metrics.incr m_cert_ok
      | Cert_failed _ -> Telemetry.Metrics.incr m_cert_failed

@@ -28,6 +28,7 @@ let m_incumbents = Telemetry.Metrics.counter "bb.incumbents"
 let m_warm_nodes = Telemetry.Metrics.counter "bb.warm_nodes"
 let m_cold_nodes = Telemetry.Metrics.counter "bb.cold_nodes"
 let g_warm_rate = Telemetry.Metrics.gauge "bb.warm_start_rate"
+let t_presolve = Telemetry.Metrics.counter "bb.presolve_ns"
 
 (* Min-heap of B&B nodes keyed by LP bound. *)
 module Heap = struct
@@ -182,9 +183,10 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
   let base = relax model in
   let nv = Lp.num_vars model in
   let int_vars =
-    List.filter
-      (fun j -> Lp.is_integer model (Lp.var_of_index model j))
-      (List.init nv Fun.id)
+    Array.of_list
+      (List.filter
+         (fun j -> Lp.is_integer model (Lp.var_of_index model j))
+         (List.init nv Fun.id))
   in
   let sign = match Lp.objective_sense model with `Minimize -> 1. | `Maximize -> -1. in
   let obj_const = Lp.objective_constant model in
@@ -204,9 +206,10 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
   let rows = Presolve.rows_of base in
   let integer_cols =
     let a = Array.make base.ncols false in
-    List.iter (fun j -> a.(j) <- true) int_vars;
+    Array.iter (fun j -> a.(j) <- true) int_vars;
     a
   in
+  let pre = Presolve.result () in
   (* Node bound arrays are blitted into two scratch buffers allocated once
      per search instead of freshly copied per node: the simplex reads them
      only during its own setup, so reuse across (sequential) node solves is
@@ -215,6 +218,7 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
      branch. *)
   let scratch_lb = Array.make base.ncols 0. in
   let scratch_ub = Array.make base.ncols 0. in
+  let node_lp = { base with lb = scratch_lb; ub = scratch_ub } in
   let lp_warm = ref 0 and lp_cold = ref 0 in
   let solve_node node =
     Array.blit base.lb 0 scratch_lb 0 base.ncols;
@@ -232,7 +236,9 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
       (* propagate the branching decisions through the equality rows; this
          often fixes sibling variables or proves the node infeasible
          before any simplex work *)
-      let pre = Presolve.tighten ~integer:integer_cols base rows lb ub in
+      let t = Telemetry.Metrics.timer_start () in
+      Presolve.tighten ~integer:integer_cols base rows lb ub pre;
+      Telemetry.Metrics.timer_stop t_presolve t;
       if not pre.Presolve.feasible then
         Ok { Simplex.status = Simplex.Infeasible; obj = infinity; x = [||];
              iterations = 0; warm = false; basis = None; factor = None }
@@ -244,7 +250,7 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
         let warm = if warm_lp then node.nbasis else None in
         let warm_factor = if warm_lp then node.nfactor else None in
         let res =
-          Simplex.solve_r ?warm ?warm_factor ~deadline:dl { base with lb; ub }
+          Simplex.solve_r ?warm ?warm_factor ~deadline:dl node_lp
         in
         (match res with
          | Ok r when node.depth > 0 ->
@@ -261,20 +267,25 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
       end
     end
   in
-  let prio j = match priority with Some p -> p.(j) | None -> 0. in
+  let prio = match priority with Some p -> p | None -> Array.make base.ncols 0. in
   let fractional x =
     (* branch on the highest-priority fractional integer variable,
-       most-fractional within a priority class *)
-    let best = ref (-1) and best_score = ref (neg_infinity, 0.) in
-    List.iter
-      (fun j ->
-        let f = x.(j) -. floor x.(j) in
-        let score = Float.min f (1. -. f) in
-        if score > integrality_tol && (prio j, score) > !best_score then begin
-          best := j;
-          best_score := (prio j, score)
-        end)
-      int_vars;
+       most-fractional within a priority class: the lexicographic
+       (priority, score) order, compared field by field *)
+    let best = ref (-1) and best_prio = ref neg_infinity and best_score = ref 0. in
+    for i = 0 to Array.length int_vars - 1 do
+      let j = int_vars.(i) in
+      let f = x.(j) -. floor x.(j) in
+      let score = Float.min f (1. -. f) in
+      let pj = prio.(j) in
+      if score > integrality_tol
+         && (pj > !best_prio || (pj = !best_prio && score > !best_score))
+      then begin
+        best := j;
+        best_prio := pj;
+        best_score := score
+      end
+    done;
     !best
   in
   let root = { nlb = []; nub = []; depth = 0; nbasis = None; nfactor = None } in
@@ -322,7 +333,7 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
           if bv < 0 then begin
             (* integral: new incumbent; snap integer values exactly *)
             let x = Array.sub res.Simplex.x 0 nv in
-            List.iter (fun j -> x.(j) <- Float.round x.(j)) int_vars;
+            Array.iter (fun j -> x.(j) <- Float.round x.(j)) int_vars;
             incumbent := Some x;
             incumbent_obj := res.Simplex.obj;
             Telemetry.Metrics.incr m_prune_integral;

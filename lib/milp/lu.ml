@@ -18,8 +18,7 @@ type trigger = No_refactor | Chain | Stability
 let eta_chain_cap = 64
 let stability_pivot_floor = 1e-7
 
-let of_matrix m binv = { m; binv; etas = 0; min_pivot = infinity }
-let create m = of_matrix m (Array.make_matrix m m 0.)
+let create m = { m; binv = Array.make_matrix m m 0.; etas = 0; min_pivot = infinity }
 let dim t = t.m
 let row t r = t.binv.(r)
 let chain_length t = t.etas
@@ -37,7 +36,9 @@ let refactor t ~scratch ~cols ~basis ~pivot_tol =
   done;
   for r = 0 to m - 1 do
     let rows, coeffs = cols.(basis.(r)) in
-    Array.iteri (fun k row -> mat.(row).(r) <- coeffs.(k)) rows
+    for k = 0 to Array.length rows - 1 do
+      mat.(rows.(k)).(r) <- coeffs.(k)
+    done
   done;
   (* the inverse is eliminated in place, from the identity *)
   let inv = t.binv in
@@ -80,16 +81,28 @@ let load t src =
   done;
   reset t
 
+let load_diagonal t d =
+  for i = 0 to t.m - 1 do
+    let bi = t.binv.(i) in
+    Array.fill bi 0 t.m 0.;
+    bi.(i) <- d.(i)
+  done;
+  reset t
+
 let snapshot t = Array.init t.m (fun i -> Array.copy t.binv.(i))
 
 (* alpha = B⁻¹ a for a sparse column a: each output row dots the column's
-   nonzeros against the corresponding inverse entries. *)
+   nonzeros against the corresponding inverse entries. A plain [for] loop
+   over a local float ref, never a closure: without flambda the closure
+   would box its accumulator and every partial sum. *)
 let ftran t (rows, coeffs) alpha =
-  let m = t.m in
+  let m = t.m and nnz = Array.length rows in
   for i = 0 to m - 1 do
     let bi = t.binv.(i) in
     let s = ref 0. in
-    Array.iteri (fun k row -> s := !s +. (bi.(row) *. coeffs.(k))) rows;
+    for k = 0 to nnz - 1 do
+      s := !s +. (bi.(rows.(k)) *. coeffs.(k))
+    done;
     alpha.(i) <- !s
   done
 

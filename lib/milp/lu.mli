@@ -13,7 +13,8 @@
     The kernels ([ftran], [btran], [apply]) perform exactly the same
     floating-point operations in the same order as the historical in-solver
     loops they replaced, so factorizations produced here are bit-compatible
-    with the solver's canonical-vertex contract. *)
+    with the solver's canonical-vertex contract. They are plain loops over
+    local accumulators and allocate nothing. *)
 
 exception Singular
 (** Raised by {!refactor} when elimination meets a pivot below the supplied
@@ -27,10 +28,6 @@ val create : int -> t
 (** [create m] is an engine of dimension [m >= 1] holding the zero matrix;
     call {!refactor} or {!load} before using the kernels. *)
 
-val of_matrix : int -> float array array -> t
-(** [of_matrix m binv] wraps an existing [m x m] inverse without copying;
-    the engine takes ownership of the array. Used by the cold-start crash
-    basis, whose inverse is diagonal and built directly. *)
 
 val dim : t -> int
 
@@ -56,6 +53,11 @@ val load : t -> float array array -> unit
 (** [load t binv] copies a previously captured inverse into the engine and
     resets the eta chain — the O(m²) alternative to {!refactor} when a
     bit-exact factorization of the target basis is already known. *)
+
+val load_diagonal : t -> float array -> unit
+(** [load_diagonal t d] sets the inverse to [diag d] (first [m] entries)
+    and resets the eta chain. Used by the cold-start crash basis, whose
+    inverse is diagonal and built directly. *)
 
 val snapshot : t -> float array array
 (** A deep copy of the current inverse, safe to cache and [load] later. *)

@@ -97,11 +97,33 @@ let m_factor_ext = Telemetry.Metrics.counter "simplex.factor_extensions"
 let m_canon_truncated = Telemetry.Metrics.counter "simplex.canonicalize_truncated"
 let m_rebase_incomplete = Telemetry.Metrics.counter "simplex.rebase_incomplete"
 
+(* Aggregate stage timers of the optimal-solve epilogue, in nanoseconds:
+   armed only with the telemetry sink, one atomic load otherwise. *)
+let t_canonicalize = Telemetry.Metrics.counter "simplex.canonicalize_ns"
+let t_rebase = Telemetry.Metrics.counter "simplex.rebase_ns"
+let t_finalize = Telemetry.Metrics.counter "simplex.finalize_ns"
+
 (* Location of a column: basic in some row, or nonbasic resting at a bound. *)
 type location = Basic of int | At_lower | At_upper | Free_zero
 
+(* Scratch vectors of the pivot loops, pricing and refactorization: the
+   inner loops work out of these, so they allocate nothing. Shared between
+   a warm attempt and its cold fallback. *)
+type workspace = {
+  wy : float array;           (* dual vector *)
+  walpha : float array;       (* ftran result column *)
+  wmat : float array array;   (* refactorization scratch (basis matrix) *)
+  wres : float array;         (* rhs/residual scratch *)
+  wdev : float array;         (* devex reference weights, by row *)
+}
+
+(* The solve state of one domain, sized to (m, ntot) and reused by every
+   solve of those dimensions (see [acquire]): each solve re-initializes
+   every array it reads before reading it, so nothing carries over from
+   one solve to the next. The fields below [ws] are scratch of the setup
+   and the canonical epilogue, and the constants of the dimensions. *)
 type state = {
-  p : problem;
+  mutable p : problem;
   m : int;                       (* rows *)
   ntot : int;                    (* structural + artificial columns *)
   acols : (int array * float array) array; (* all columns incl. artificials *)
@@ -112,29 +134,34 @@ type state = {
   fac : Lu.t;                    (* incremental basis factorization engine *)
   xb : float array;              (* values of basic variables, by row *)
   xn : float array;              (* resting value of every column when nonbasic *)
+  ws : workspace;
   mutable loaded : Factor.t option;  (* canonical factor this solve entered from *)
   mutable degenerate_streak : int;
   mutable bland : bool;
   mutable iterations : int;
+  busy : bool Atomic.t;          (* held by a solve in flight *)
+  basic_at : location array;     (* [Basic r] for every row, shared by all pivots *)
+  units : (int array * float array) array;     (* +1 logical column per row *)
+  neg_units : (int array * float array) array; (* -1 logical column per row *)
+  phase1_cost : float array;     (* 1 on the logicals, 0 elsewhere *)
+  phase2_cost : float array;     (* the problem's cost, 0 on the logicals *)
+  weights : float array;         (* [canonical_weight] of every column *)
+  frozen_lb : float array;       (* [canonicalize]'s saved bounds *)
+  frozen_ub : float array;
+  diag : float array;            (* cold crash basis inverse, by row *)
+  singleton : int array;         (* cold crash: slack-like column per row *)
+  mark : bool array;             (* per column: warm basis seen / rebase accepted *)
+  vertex : float array;          (* [rebase]: value of every column *)
+  pivrow : int array;            (* [rebase]: pivot row of each accepted column *)
+  accepted : int array;          (* [rebase]: accepted columns, in order *)
+  pivoted : bool array;          (* [rebase]: rows already pivoted on *)
+  interior : int array;          (* [rebase]: interior columns, ascending *)
+  is_interior : bool array;      (* [rebase]: per column *)
+  slot : int array;              (* [chain_build]: column in each row *)
+  wanted : bool array;           (* [chain_build]: logicals of the basic set *)
+  spare_rows : int array;        (* [chain_build]: claimed-over rows *)
+  spare_logs : int array;        (* [chain_build]: displaced wanted logicals *)
 }
-
-(* Per-solve scratch, sized once in [solve_r]: the pivot loops, pricing,
-   and refactorization all work out of these arrays, so the inner loops
-   allocate nothing (the GC never runs mid-solve). Shared between a warm
-   attempt and its cold fallback. *)
-type workspace = {
-  wy : float array;           (* dual vector *)
-  walpha : float array;       (* ftran result column *)
-  wmat : float array array;   (* refactorization scratch (basis matrix) *)
-  wres : float array;         (* rhs/residual scratch *)
-  wdev : float array;         (* devex reference weights, by row *)
-}
-
-let make_workspace m =
-  let n = max 1 m in
-  { wy = Array.make n 0.; walpha = Array.make n 0.;
-    wmat = Array.make_matrix n n 0.; wres = Array.make n 0.;
-    wdev = Array.make n 1. }
 
 let nonbasic_rest_value lb ub =
   if lb > neg_infinity then lb else if ub < infinity then ub else 0.
@@ -142,11 +169,14 @@ let nonbasic_rest_value lb ub =
 (* ---- canonical factor cache -------------------------------------------- *)
 
 let int_array_eq (a : int array) (b : int array) =
-  Array.length a = Array.length b
-  && (try
-        Array.iteri (fun i v -> if v <> b.(i) then raise Exit) a;
-        true
-      with Exit -> false)
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = n
 
 (* Per-domain direct-mapped cache of canonical factorizations, keyed by the
    physical column array and the sorted basic set. Entries hold bits that
@@ -160,20 +190,25 @@ let cache_max_rows = 200
 let factor_cache_key : Factor.t option array Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Array.make cache_slots None)
 
-let basis_slot m (key : int array) =
+(* Slot of the first [n] entries of [key], for a problem of [m] rows. *)
+let slot_of m (key : int array) n =
   let h = ref (m * 0x9E3779B1) in
-  Array.iter (fun j -> h := ((!h * 0x01000193) lxor j) land max_int) key;
+  for i = 0 to n - 1 do
+    h := ((!h * 0x01000193) lxor key.(i)) land max_int
+  done;
   !h mod cache_slots
+
+let basis_slot m (key : int array) = slot_of m key (Array.length key)
 
 let lookup_factor p m (key : int array) =
   if m > cache_max_rows then None
   else
     let cache = Domain.DLS.get factor_cache_key in
     match cache.(basis_slot m key) with
-    | Some f
+    | Some f as hit
       when f.Factor.f_cols == p.cols && f.Factor.f_nrows = m
            && int_array_eq f.Factor.f_key key ->
-      Some f
+      hit
     | _ -> None
 
 let store_factor (f : Factor.t) =
@@ -186,6 +221,13 @@ let sorted_key basis =
   let key = Array.copy basis in
   Array.sort (fun (a : int) b -> compare a b) key;
   key
+
+let is_ascending (a : int array) =
+  let i = ref 1 in
+  while !i < Array.length a && a.(!i - 1) < a.(!i) do
+    incr i
+  done;
+  !i >= Array.length a
 
 let capture_factor st =
   let f =
@@ -220,7 +262,10 @@ let compute_xb st ws =
       let v = st.xn.(j) in
       if v <> 0. then begin
         let rows, coeffs = st.acols.(j) in
-        Array.iteri (fun k row -> r.(row) <- r.(row) -. (coeffs.(k) *. v)) rows
+        for k = 0 to Array.length rows - 1 do
+          let row = rows.(k) in
+          r.(row) <- r.(row) -. (coeffs.(k) *. v)
+        done
       end
   done;
   Lu.apply st.fac r st.xb
@@ -263,7 +308,10 @@ let residual_excess st ws =
     in
     if v <> 0. then begin
       let rows, coeffs = st.acols.(j) in
-      Array.iteri (fun k row -> r.(row) <- r.(row) -. (coeffs.(k) *. v)) rows
+      for k = 0 to Array.length rows - 1 do
+        let row = rows.(k) in
+        r.(row) <- r.(row) -. (coeffs.(k) *. v)
+      done
     end
   done;
   let worst = ref 0. in
@@ -290,11 +338,14 @@ let check_health st =
       raise (Lp_abort Robust.Failure.Numerical_instability)
   done
 
-(* Reduced cost of column j given the dual vector y. *)
-let reduced_cost st cost y j =
+(* Reduced cost of column j given the dual vector y; inlined so the
+   result stays an unboxed float in the pricing loops. *)
+let[@inline] reduced_cost st cost y j =
   let rows, coeffs = st.acols.(j) in
   let s = ref cost.(j) in
-  Array.iteri (fun k row -> s := !s -. (y.(row) *. coeffs.(k))) rows;
+  for k = 0 to Array.length rows - 1 do
+    s := !s -. (y.(rows.(k)) *. coeffs.(k))
+  done;
   !s
 
 (* y = c_B B⁻¹: btran over the cost of the basic columns, skipping zero
@@ -367,7 +418,10 @@ let optimize st cost ws max_iterations deadline =
              in
              let dir =
                (* a free variable can also move down on positive reduced cost *)
-               if dir = 0. && st.loc.(j) = Free_zero && d > opt_tol then -1. else dir
+               if dir = 0. && (match loc with Free_zero -> true | _ -> false)
+                  && d > opt_tol
+               then -1.
+               else dir
              in
              if dir <> 0. then
                if st.bland then begin
@@ -447,7 +501,7 @@ let optimize st cost ws max_iterations deadline =
         st.xn.(old) <- (if !leaving_to_upper then st.aub.(old) else st.alb.(old));
         (* entering variable becomes basic in row r *)
         st.basis.(r) <- j;
-        st.loc.(j) <- Basic r;
+        st.loc.(j) <- st.basic_at.(r);
         st.xb.(r) <- st.xn.(j) +. (dir *. t);
         eta_update st r alpha
       end;
@@ -496,14 +550,9 @@ let dual_feasible st cost y =
    when no column can absorb the violation (the classic infeasibility
    proof), [Dual_giveup] on a stalled pivot or when [cap] pivots were
    spent without reaching feasibility (cycling guard). *)
-let dual_optimize st cost ws ~cap deadline =
+let dual_pivots st cost ws ~cap ~start deadline =
   let m = st.m in
   let y = ws.wy and alpha = ws.walpha and dw = ws.wdev in
-  Array.fill dw 0 m 1.;
-  let start = st.iterations in
-  Fun.protect
-    ~finally:(fun () -> Telemetry.Metrics.add m_dual (st.iterations - start))
-  @@ fun () ->
   let continue_ = ref true in
   while !continue_ do
     if st.iterations - start >= cap then raise Dual_giveup;
@@ -552,7 +601,9 @@ let dual_optimize st cost ws ~cap deadline =
           if st.aub.(j) -. st.alb.(j) > pivot_tol then begin
             let rows, coeffs = st.acols.(j) in
             let a = ref 0. in
-            Array.iteri (fun k rw -> a := !a +. (row.(rw) *. coeffs.(k))) rows;
+            for k = 0 to Array.length rows - 1 do
+              a := !a +. (row.(rows.(k)) *. coeffs.(k))
+            done;
             let a = !a in
             let eligible =
               match loc with
@@ -602,7 +653,7 @@ let dual_optimize st cost ws ~cap deadline =
         st.loc.(b) <- (if s > 0. then At_upper else At_lower);
         st.xn.(b) <- target;
         st.basis.(r) <- j;
-        st.loc.(j) <- Basic r;
+        st.loc.(j) <- st.basic_at.(r);
         st.xb.(r) <- st.xn.(j) +. t;
         (* devex reference-framework update from the pivot column *)
         let ar = alpha.(r) in
@@ -622,6 +673,16 @@ let dual_optimize st cost ws ~cap deadline =
       end
     end
   done
+
+(* The dual pivots spent are counted however the loop ends. *)
+let dual_optimize st cost ws ~cap deadline =
+  Array.fill ws.wdev 0 st.m 1.;
+  let start = st.iterations in
+  match dual_pivots st cost ws ~cap ~start deadline with
+  | () -> Telemetry.Metrics.add m_dual (st.iterations - start)
+  | exception e ->
+    Telemetry.Metrics.add m_dual (st.iterations - start);
+    raise e
 
 (* ---- vertex canonicalization ------------------------------------------- *)
 
@@ -653,7 +714,8 @@ let canonicalize st cost ws deadline =
   (* freeze every nonbasic column with a nonzero true reduced cost at its
      resting value: pricing then only ever enters face columns, so the true
      objective is invariant under the cleanup pivots *)
-  let frozen_lb = Array.copy st.alb and frozen_ub = Array.copy st.aub in
+  Array.blit st.alb 0 st.frozen_lb 0 st.ntot;
+  Array.blit st.aub 0 st.frozen_ub 0 st.ntot;
   for j = 0 to st.ntot - 1 do
     match st.loc.(j) with
     | Basic _ -> ()
@@ -666,18 +728,98 @@ let canonicalize st cost ws deadline =
         st.aub.(j) <- st.xn.(j)
       end
   done;
-  let xi = Array.init st.ntot canonical_weight in
   st.bland <- false;
   st.degenerate_streak <- 0;
   (* bounded effort: a cleanup that stalls or roams an unbounded face just
      keeps the vertex it reached — identity is gated empirically (counted
      as [simplex.canonicalize_truncated]), never at the cost of a solve
      failing *)
-  (try optimize st xi ws (st.iterations + 50 + (4 * st.m)) deadline
+  (try optimize st st.weights ws (st.iterations + 50 + (4 * st.m)) deadline
    with Lp_unbounded | Lp_iteration_limit ->
      Telemetry.Metrics.incr m_canon_truncated);
-  Array.blit frozen_lb 0 st.alb 0 st.ntot;
-  Array.blit frozen_ub 0 st.aub 0 st.ntot
+  Array.blit st.frozen_lb 0 st.alb 0 st.ntot;
+  Array.blit st.frozen_ub 0 st.aub 0 st.ntot
+
+let interior st j =
+  let x = st.vertex.(j) and l = st.alb.(j) and u = st.aub.(j) in
+  if l > neg_infinity || u < infinity then x > l +. feas_tol && x < u -. feas_tol
+  else Float.abs x > feas_tol
+
+(* Incremental elimination step of [rebase]: [lcols] holds each accepted
+   column after elimination against its predecessors, [st.pivrow] its pivot
+   row. Returns the new accepted count. *)
+let try_accept st ws count j =
+  let m = st.m in
+  if count >= m then count
+  else begin
+    let lcols = ws.wmat and w = ws.wres in
+    Array.fill w 0 m 0.;
+    let rows, coeffs = st.acols.(j) in
+    for k = 0 to Array.length rows - 1 do
+      w.(rows.(k)) <- coeffs.(k)
+    done;
+    for t = 0 to count - 1 do
+      let f = w.(st.pivrow.(t)) /. lcols.(t).(st.pivrow.(t)) in
+      if f <> 0. then
+        for r = 0 to m - 1 do
+          w.(r) <- w.(r) -. (f *. lcols.(t).(r))
+        done
+    done;
+    let best = ref (-1) in
+    for r = 0 to m - 1 do
+      if (not st.pivoted.(r))
+         && (!best < 0 || Float.abs w.(r) > Float.abs w.(!best))
+      then best := r
+    done;
+    if !best >= 0 && Float.abs w.(!best) > 1e-7 then begin
+      st.pivrow.(count) <- !best;
+      st.pivoted.(!best) <- true;
+      Array.blit w 0 lcols.(count) 0 m;
+      st.accepted.(count) <- j;
+      count + 1
+    end
+    else count
+  end
+
+(* Which columns [rebase] accepts is a function of the columns and of the
+   interior set alone: the elimination visits the interior columns, then
+   the rest, each group in ascending order, and decides on the columns'
+   coefficients only. So the outcome is memoized per domain, keyed like
+   the factor cache by the physical column array and the interior set, and
+   a hit replays the recorded decisions instead of redoing the
+   elimination. Only solves whose logical columns are all the +1 units are
+   memoized (every warm solve; a cold one unless a -1 artificial remains),
+   since a -1 logical is a different column. *)
+type completion = {
+  c_cols : (int array * float array) array;  (* physical identity tag *)
+  c_m : int;
+  c_interior : int array;  (* the interior set, ascending *)
+  c_accepted : int array;  (* accepted columns in acceptance order *)
+  c_count : int;  (* how many were accepted ([c_m] unless incomplete) *)
+}
+
+let completion_key : completion option array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make cache_slots None)
+
+let find_completion st ni =
+  let e = (Domain.DLS.get completion_key).(slot_of st.m st.interior ni) in
+  match e with
+  | Some c
+    when c.c_cols == st.p.cols && c.c_m = st.m && Array.length c.c_interior = ni
+         && (let i = ref 0 in
+             while !i < ni && c.c_interior.(!i) = st.interior.(!i) do
+               incr i
+             done;
+             !i = ni) ->
+    e
+  | _ -> None
+
+let unit_logicals st =
+  let i = ref 0 in
+  while !i < st.m && st.acols.(st.p.ncols + !i) == st.units.(!i) do
+    incr i
+  done;
+  !i = st.m
 
 (* The canonical vertex can still be degenerate — represented by several
    bases — and which one a path ends at leaks into the extracted floats at
@@ -689,63 +831,51 @@ let canonicalize st cost ws deadline =
    logical columns are unit vectors, so completion always succeeds. *)
 let rebase st ws =
   let m = st.m in
-  let x = Array.make st.ntot 0. in
+  let x = st.vertex in
   for j = 0 to st.ntot - 1 do
     match st.loc.(j) with
     | Basic r -> x.(j) <- st.xb.(r)
     | At_lower | At_upper | Free_zero -> x.(j) <- st.xn.(j)
   done;
-  let interior j =
-    let l = st.alb.(j) and u = st.aub.(j) in
-    if l > neg_infinity || u < infinity then
-      x.(j) > l +. feas_tol && x.(j) < u -. feas_tol
-    else Float.abs x.(j) > feas_tol
-  in
-  (* incremental elimination: lcols holds each accepted column after
-     elimination against its predecessors, pivrow its pivot row *)
-  let lcols = ws.wmat and w = ws.wres in
-  let pivrow = Array.make m (-1) in
-  let pivoted = Array.make m false in
-  let accepted = Array.make m (-1) in
-  let count = ref 0 in
-  let try_accept j =
-    if !count < m then begin
-      Array.fill w 0 m 0.;
-      let rows, coeffs = st.acols.(j) in
-      Array.iteri (fun k row -> w.(row) <- coeffs.(k)) rows;
-      for t = 0 to !count - 1 do
-        let f = w.(pivrow.(t)) /. lcols.(t).(pivrow.(t)) in
-        if f <> 0. then
-          for r = 0 to m - 1 do
-            w.(r) <- w.(r) -. (f *. lcols.(t).(r))
-          done
-      done;
-      let best = ref (-1) in
-      for r = 0 to m - 1 do
-        if (not pivoted.(r))
-           && (!best < 0 || Float.abs w.(r) > Float.abs w.(!best))
-        then best := r
-      done;
-      if !best >= 0 && Float.abs w.(!best) > 1e-7 then begin
-        pivrow.(!count) <- !best;
-        pivoted.(!best) <- true;
-        Array.blit w 0 lcols.(!count) 0 m;
-        accepted.(!count) <- j;
-        incr count
-      end
+  let ni = ref 0 in
+  for j = 0 to st.ntot - 1 do
+    let inner = interior st j in
+    st.is_interior.(j) <- inner;
+    if inner then begin
+      st.interior.(!ni) <- j;
+      incr ni
     end
-  in
-  for j = 0 to st.ntot - 1 do
-    if interior j then try_accept j
   done;
-  for j = 0 to st.ntot - 1 do
-    if not (interior j) then try_accept j
-  done;
+  let ni = !ni in
+  let memo = m <= cache_max_rows && unit_logicals st in
+  let count = ref 0 in
+  (match if memo then find_completion st ni else None with
+   | Some c ->
+     Array.blit c.c_accepted 0 st.accepted 0 m;
+     count := c.c_count
+   | None ->
+     Array.fill st.pivrow 0 m (-1);
+     Array.fill st.pivoted 0 m false;
+     Array.fill st.accepted 0 m (-1);
+     for t = 0 to ni - 1 do
+       count := try_accept st ws !count st.interior.(t)
+     done;
+     for j = 0 to st.ntot - 1 do
+       if not st.is_interior.(j) then count := try_accept st ws !count j
+     done;
+     if memo then
+       (Domain.DLS.get completion_key).(slot_of m st.interior ni) <-
+         Some
+           { c_cols = st.p.cols; c_m = m; c_interior = Array.sub st.interior 0 ni;
+             c_accepted = Array.copy st.accepted; c_count = !count });
   if !count = m then begin
-    let in_basis = Array.make st.ntot false in
-    Array.iter (fun j -> in_basis.(j) <- true) accepted;
+    let in_basis = st.mark in
+    Array.fill in_basis 0 st.ntot false;
+    for t = 0 to m - 1 do
+      in_basis.(st.accepted.(t)) <- true
+    done;
     for j = 0 to st.ntot - 1 do
-      if in_basis.(j) then st.loc.(j) <- Basic 0 (* row fixed in [finalize] *)
+      if in_basis.(j) then st.loc.(j) <- st.basic_at.(0) (* row fixed in [finalize] *)
       else begin
         let l = st.alb.(j) and u = st.aub.(j) in
         if l > neg_infinity && (u = infinity || x.(j) -. l <= u -. x.(j)) then begin
@@ -762,7 +892,7 @@ let rebase st ws =
         end
       end
     done;
-    Array.blit accepted 0 st.basis 0 m
+    Array.blit st.accepted 0 st.basis 0 m
   end
   else
     (* a failed completion (cannot happen while the logical columns span
@@ -781,7 +911,7 @@ let rebase st ws =
 let normalize_logicals st =
   for i = 0 to st.m - 1 do
     let _, coeffs = st.acols.(st.p.ncols + i) in
-    if coeffs.(0) <> 1. then st.acols.(st.p.ncols + i) <- ([| i |], [| 1. |])
+    if coeffs.(0) <> 1. then st.acols.(st.p.ncols + i) <- st.units.(i)
   done
 
 (* Canonical extraction: install the canonical factorization of the final
@@ -843,7 +973,10 @@ let chain_build st ws =
       id.(i).(i) <- 1.
     done;
     Lu.load st.fac id;
-    let b = Array.init m (fun r -> ncols + r) in
+    let b = st.slot in
+    for r = 0 to m - 1 do
+      b.(r) <- ncols + r
+    done;
     let ok = ref true in
     let d = ref 0 in
     while !ok && !d < k do
@@ -867,56 +1000,82 @@ let chain_build st ws =
        whose own row is unclaimed is already in place; the rest pair with
        the claimed-over rows, ascending to ascending *)
     if !ok && k < m then begin
-      let wanted = Array.make m false in
+      let wanted = st.wanted in
+      Array.fill wanted 0 m false;
       for i = k to m - 1 do
         wanted.(sset.(i) - ncols) <- true
       done;
-      let mrows = ref [] and mlogs = ref [] in
-      for r = m - 1 downto 0 do
-        if b.(r) >= ncols && not wanted.(r) then mrows := r :: !mrows
+      (* both lists ascending; equally long, since each structural column
+         claimed exactly one row *)
+      let nrows = ref 0 and nlogs = ref 0 in
+      for r = 0 to m - 1 do
+        if b.(r) >= ncols && not wanted.(r) then begin
+          st.spare_rows.(!nrows) <- r;
+          incr nrows
+        end
       done;
-      for i = m - 1 downto k do
+      for i = k to m - 1 do
         let w = sset.(i) in
-        if b.(w - ncols) < ncols then mlogs := w :: !mlogs
+        if b.(w - ncols) < ncols then begin
+          st.spare_logs.(!nlogs) <- w;
+          incr nlogs
+        end
       done;
-      List.iter2
-        (fun r w ->
-          if !ok then begin
-            Lu.ftran st.fac st.acols.(w) ws.walpha;
-            if Float.abs ws.walpha.(r) <= chain_floor then ok := false
-            else begin
-              Lu.update st.fac ~pivot_tol r ws.walpha;
-              Telemetry.Metrics.incr m_factor_ext;
-              b.(r) <- w
-            end
-          end)
-        !mrows !mlogs
+      assert (!nrows = !nlogs);
+      for t = 0 to !nrows - 1 do
+        if !ok then begin
+          let r = st.spare_rows.(t) and w = st.spare_logs.(t) in
+          Lu.ftran st.fac st.acols.(w) ws.walpha;
+          if Float.abs ws.walpha.(r) <= chain_floor then ok := false
+          else begin
+            Lu.update st.fac ~pivot_tol r ws.walpha;
+            Telemetry.Metrics.incr m_factor_ext;
+            b.(r) <- w
+          end
+        end
+      done
     end;
     if !ok then Array.blit b 0 st.basis 0 m;
     !ok
   end
 
+(* Ascending in-place sort of distinct column indices. Insertion sort: the
+   basis is short, mostly sorted already, and [Array.sort] would allocate
+   its closures on every call. *)
+let sort_basis (a : int array) =
+  for i = 1 to Array.length a - 1 do
+    let v = a.(i) in
+    let k = ref (i - 1) in
+    while !k >= 0 && a.(!k) > v do
+      a.(!k + 1) <- a.(!k);
+      decr k
+    done;
+    a.(!k + 1) <- v
+  done
+
+let install_factor st f =
+  Telemetry.Metrics.incr m_factor_hit;
+  Lu.load st.fac f.Factor.f_binv;
+  Array.blit f.Factor.f_basis 0 st.basis 0 st.m;
+  f
+
 let finalize st ws =
-  Array.sort (fun (a : int) b -> compare a b) st.basis;
+  sort_basis st.basis;
   normalize_logicals st;
-  let install f =
-    Telemetry.Metrics.incr m_factor_hit;
-    Lu.load st.fac f.Factor.f_binv;
-    Array.blit f.Factor.f_basis 0 st.basis 0 st.m;
-    f
-  in
   let fac =
     match st.loaded with
     | Some f when f.Factor.f_nrows = st.m && int_array_eq f.Factor.f_key st.basis ->
-      install f
+      install_factor st f
     | _ -> (
       match lookup_factor st.p st.m st.basis with
-      | Some f -> install f
+      | Some f -> install_factor st f
       | None ->
         if not (chain_build st ws) then refactor_basis st ws;
         capture_factor st)
   in
-  Array.iteri (fun r c -> st.loc.(c) <- Basic r) st.basis;
+  for r = 0 to st.m - 1 do
+    st.loc.(st.basis.(r)) <- st.basic_at.(r)
+  done;
   compute_xb st ws;
   check_health st;
   fac
@@ -949,6 +1108,85 @@ let basis_of_state st =
   in
   { Basis.basic = Array.copy st.basis; vstat }
 
+(* ---- per-domain solve state ------------------------------------------- *)
+
+let make_state p =
+  let m = p.nrows and ncols = p.ncols in
+  let ntot = ncols + m in
+  { p; m; ntot;
+    acols = Array.make ntot ([||], [||]);
+    alb = Array.make ntot 0.; aub = Array.make ntot 0.;
+    loc = Array.make ntot At_lower; basis = Array.make m 0;
+    fac = Lu.create m; xb = Array.make m 0.; xn = Array.make ntot 0.;
+    ws = { wy = Array.make m 0.; walpha = Array.make m 0.;
+           wmat = Array.make_matrix m m 0.; wres = Array.make m 0.;
+           wdev = Array.make m 1. };
+    loaded = None; degenerate_streak = 0; bland = false; iterations = 0;
+    busy = Atomic.make true;
+    basic_at = Array.init m (fun r -> Basic r);
+    units = Array.init m (fun i -> ([| i |], [| 1. |]));
+    neg_units = Array.init m (fun i -> ([| i |], [| -1. |]));
+    phase1_cost = Array.init ntot (fun j -> if j >= ncols then 1. else 0.);
+    phase2_cost = Array.make ntot 0.;
+    weights = Array.init ntot canonical_weight;
+    frozen_lb = Array.make ntot 0.; frozen_ub = Array.make ntot 0.;
+    diag = Array.make m 0.; singleton = Array.make m (-1);
+    mark = Array.make ntot false; vertex = Array.make ntot 0.;
+    pivrow = Array.make m (-1); accepted = Array.make m (-1);
+    pivoted = Array.make m false; interior = Array.make ntot 0;
+    is_interior = Array.make ntot false; slot = Array.make m 0;
+    wanted = Array.make m false; spare_rows = Array.make m 0;
+    spare_logs = Array.make m 0 }
+
+(* One cached state per domain, the [Domain.DLS] pattern of the factor
+   cache: branch-and-bound solves thousands of node LPs of one size in a
+   row, and each takes the cached state instead of allocating its own. A
+   solve that finds it held (a nested solve, or another thread of the
+   domain) works on a private fresh state instead. *)
+let state_key : state option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+let acquire p =
+  let cell = Domain.DLS.get state_key in
+  let st =
+    match !cell with
+    | Some st when st.m = p.nrows && st.ntot = p.ncols + p.nrows ->
+      if Atomic.compare_and_set st.busy false true then st else make_state p
+    | Some _ | None ->
+      let st = make_state p in
+      cell := Some st;
+      st
+  in
+  st.p <- p;
+  st
+
+let release st = Atomic.set st.busy false
+
+(* Every solve attempt starts from a clean pivot record. *)
+let reset_record st =
+  st.loaded <- None;
+  st.degenerate_streak <- 0;
+  st.bland <- false;
+  st.iterations <- 0
+
+(* [p]'s cost over the structural columns, zero on the logicals. *)
+let load_phase2_cost st =
+  Array.blit st.p.cost 0 st.phase2_cost 0 st.p.ncols;
+  Array.fill st.phase2_cost st.p.ncols st.m 0.
+
+(* The canonical epilogue of an optimal solve, each stage timed. *)
+let canonical_epilogue st deadline =
+  let ws = st.ws in
+  let t = Telemetry.Metrics.timer_start () in
+  canonicalize st st.phase2_cost ws deadline;
+  Telemetry.Metrics.timer_stop t_canonicalize t;
+  let t = Telemetry.Metrics.timer_start () in
+  rebase st ws;
+  Telemetry.Metrics.timer_stop t_rebase t;
+  let t = Telemetry.Metrics.timer_start () in
+  let fac = finalize st ws in
+  Telemetry.Metrics.timer_stop t_finalize t;
+  fac
+
 (* ---- warm path --------------------------------------------------------- *)
 
 (* A warm attempt that cannot proceed (stale/singular basis, dimension
@@ -957,24 +1195,25 @@ let basis_of_state st =
    would have succeeded cold. *)
 exception Warm_reject
 
-let warm_attempt ~max_iterations ~deadline ws p (wb : Basis.t) wfac =
-  let m = p.nrows in
-  let ntot = p.ncols + m in
+let warm_attempt ~max_iterations ~deadline st (wb : Basis.t) wfac =
+  let p = st.p and m = st.m and ntot = st.ntot in
+  let ws = st.ws in
   if Array.length wb.Basis.basic <> m || Array.length wb.Basis.vstat <> ntot then
     raise Warm_reject;
-  let acols = Array.make ntot ([||], [||]) in
-  Array.blit p.cols 0 acols 0 p.ncols;
+  reset_record st;
   (* logical columns are rebuilt with uniform +1 sign and locked at zero: a
      warm solve never needs phase-1 artificials, only a nonsingular square
      basis (a parent's sign-flipped artificial still yields one) *)
-  let alb = Array.make ntot 0. and aub = Array.make ntot 0. in
+  let acols = st.acols and alb = st.alb and aub = st.aub in
+  Array.blit p.cols 0 acols 0 p.ncols;
+  Array.blit st.units 0 acols p.ncols m;
   Array.blit p.lb 0 alb 0 p.ncols;
+  Array.fill alb p.ncols m 0.;
   Array.blit p.ub 0 aub 0 p.ncols;
-  for i = 0 to m - 1 do
-    acols.(p.ncols + i) <- ([| i |], [| 1. |])
-  done;
-  let xn = Array.make ntot 0. in
-  let loc = Array.make ntot At_lower in
+  Array.fill aub p.ncols m 0.;
+  let xn = st.xn and loc = st.loc in
+  Array.fill xn 0 ntot 0.;
+  Array.fill loc 0 ntot At_lower;
   for j = 0 to ntot - 1 do
     let l = alb.(j) and u = aub.(j) in
     match wb.Basis.vstat.(j) with
@@ -994,25 +1233,21 @@ let warm_attempt ~max_iterations ~deadline ws p (wb : Basis.t) wfac =
       else if u < infinity then begin loc.(j) <- At_upper; xn.(j) <- u end
       else begin loc.(j) <- Free_zero; xn.(j) <- 0. end
   done;
-  let basis = Array.copy wb.Basis.basic in
-  let seen = Array.make ntot false in
-  Array.iteri
-    (fun r c ->
-      if c < 0 || c >= ntot || seen.(c) || wb.Basis.vstat.(c) <> Basis.Vbasic then
-        raise Warm_reject;
-      seen.(c) <- true;
-      loc.(c) <- Basic r)
-    basis;
+  let basis = st.basis in
+  Array.blit wb.Basis.basic 0 basis 0 m;
+  let seen = st.mark in
+  Array.fill seen 0 ntot false;
+  for r = 0 to m - 1 do
+    let c = basis.(r) in
+    if c < 0 || c >= ntot || seen.(c) || wb.Basis.vstat.(c) <> Basis.Vbasic then
+      raise Warm_reject;
+    seen.(c) <- true;
+    loc.(c) <- st.basic_at.(r)
+  done;
   for j = 0 to ntot - 1 do
     if wb.Basis.vstat.(j) = Basis.Vbasic && not seen.(j) then raise Warm_reject
   done;
-  let st =
-    { p; m; ntot; acols; alb; aub; loc; basis;
-      fac = Lu.create m; xb = Array.make m 0.; xn; loaded = None;
-      degenerate_streak = 0; bland = false; iterations = 0 }
-  in
-  let phase2_cost = Array.make ntot 0. in
-  Array.blit p.cost 0 phase2_cost 0 p.ncols;
+  load_phase2_cost st;
   (* a handful of dual pivots is the expected case; a warm solve that needs
      more than this is cheaper to restart cold than to let cycle *)
   let dual_cap = 200 + (2 * (m + ntot)) in
@@ -1031,27 +1266,26 @@ let warm_attempt ~max_iterations ~deadline ws p (wb : Basis.t) wfac =
        Telemetry.Metrics.incr m_factor_reuse;
        Lu.load st.fac f.Factor.f_binv;
        compute_xb st ws;
-       st.loaded <- Some f
+       st.loaded <- wfac
      | _ ->
        refactorize st ws;
-       if m > chain_max_rows && int_array_eq basis (sorted_key basis) then
+       if m > chain_max_rows && is_ascending basis then
          st.loaded <- Some (capture_factor st));
     check_health st;
-    dual_optimize st phase2_cost ws ~cap:dual_cap deadline;
+    dual_optimize st st.phase2_cost ws ~cap:dual_cap deadline;
     let dual_iters = st.iterations in
     (* primal cleanup: absorbs any reduced-cost drift; from an already
        optimal warm basis this terminates without pivoting *)
     st.bland <- false;
     st.degenerate_streak <- 0;
-    optimize st phase2_cost ws max_iterations deadline;
-    canonicalize st phase2_cost ws deadline;
-    rebase st ws;
-    let fac = finalize st ws in
+    optimize st st.phase2_cost ws max_iterations deadline;
+    let fac = canonical_epilogue st deadline in
     Telemetry.Metrics.add m_phase2 (st.iterations - dual_iters);
     let x = extract_x st in
-    if not (Float.is_finite (objective_value p x)) then raise Warm_reject
+    let obj = objective_value p x in
+    if not (Float.is_finite obj) then raise Warm_reject
     else
-      Ok { status = Optimal; obj = objective_value p x; x;
+      Ok { status = Optimal; obj; x;
            iterations = st.iterations; warm = true;
            basis = Some (basis_of_state st);
            factor = (if m <= cache_max_rows then Some fac else None) }
@@ -1069,16 +1303,18 @@ let warm_attempt ~max_iterations ~deadline ws p (wb : Basis.t) wfac =
 
 (* ---- cold path --------------------------------------------------------- *)
 
-let cold_solve ~max_iterations ~deadline ws p =
-  let m = p.nrows in
-  let ntot = p.ncols + m in
-  let acols = Array.make ntot ([||], [||]) in
+let cold_solve ~max_iterations ~deadline st =
+  let p = st.p and m = st.m and ntot = st.ntot in
+  reset_record st;
+  let acols = st.acols and alb = st.alb and aub = st.aub in
   Array.blit p.cols 0 acols 0 p.ncols;
-  let alb = Array.make ntot 0. and aub = Array.make ntot infinity in
   Array.blit p.lb 0 alb 0 p.ncols;
+  Array.fill alb p.ncols m 0.;
   Array.blit p.ub 0 aub 0 p.ncols;
-  let xn = Array.make ntot 0. in
-  let loc = Array.make ntot At_lower in
+  Array.fill aub p.ncols m infinity;
+  let xn = st.xn and loc = st.loc in
+  Array.fill xn p.ncols m 0.;
+  Array.fill loc p.ncols m At_lower;
   for j = 0 to p.ncols - 1 do
     let v = nonbasic_rest_value p.lb.(j) p.ub.(j) in
     xn.(j) <- v;
@@ -1088,25 +1324,28 @@ let cold_solve ~max_iterations ~deadline ws p =
        else Free_zero)
   done;
   (* residuals decide the sign of each artificial column *)
-  let resid = Array.copy p.rhs in
+  let resid = st.ws.wres in
+  Array.blit p.rhs 0 resid 0 m;
   for j = 0 to p.ncols - 1 do
     if xn.(j) <> 0. then begin
       let rows, coeffs = p.cols.(j) in
-      Array.iteri (fun k row -> resid.(row) <- resid.(row) -. (coeffs.(k) *. xn.(j))) rows
+      for k = 0 to Array.length rows - 1 do
+        let row = rows.(k) in
+        resid.(row) <- resid.(row) -. (coeffs.(k) *. xn.(j))
+      done
     end
   done;
   (* Crash basis: prefer a singleton (slack-like) column per row when the
      residual fits its bounds; fall back to an artificial otherwise. This
      usually makes phase 1 trivial for inequality-heavy models. *)
-  let singleton_for_row = Array.make m (-1) in
+  let singleton_for_row = st.singleton in
+  Array.fill singleton_for_row 0 m (-1);
   for j = p.ncols - 1 downto 0 do
     let rows, coeffs = p.cols.(j) in
     if Array.length rows = 1 && Float.abs coeffs.(0) > pivot_tol then
       singleton_for_row.(rows.(0)) <- j
   done;
-  let basis = Array.make m 0 in
-  let binv = Array.make_matrix m m 0. in
-  let xb = Array.make m 0. in
+  let basis = st.basis and diag = st.diag and xb = st.xb in
   for i = 0 to m - 1 do
     let crashed =
       let j = singleton_for_row.(i) in
@@ -1118,11 +1357,11 @@ let cold_solve ~max_iterations ~deadline ws p =
         if v >= p.lb.(j) -. feas_tol && v <= p.ub.(j) +. feas_tol then begin
           resid.(i) <- resid.(i) +. (a *. xn.(j));
           basis.(i) <- j;
-          loc.(j) <- Basic i;
-          binv.(i).(i) <- 1. /. a;
+          loc.(j) <- st.basic_at.(i);
+          diag.(i) <- 1. /. a;
           xb.(i) <- v;
           (* the artificial for this row is never used: pin it to zero *)
-          acols.(p.ncols + i) <- ([| i |], [| 1. |]);
+          acols.(p.ncols + i) <- st.units.(i);
           aub.(p.ncols + i) <- 0.;
           true
         end
@@ -1132,26 +1371,18 @@ let cold_solve ~max_iterations ~deadline ws p =
     in
     if not crashed then begin
       let sign = if resid.(i) >= 0. then 1. else -1. in
-      acols.(p.ncols + i) <- ([| i |], [| sign |]);
+      acols.(p.ncols + i) <- (if sign > 0. then st.units.(i) else st.neg_units.(i));
       basis.(i) <- p.ncols + i;
-      loc.(p.ncols + i) <- Basic i;
-      binv.(i).(i) <- sign;
+      loc.(p.ncols + i) <- st.basic_at.(i);
+      diag.(i) <- sign;
       xb.(i) <- Float.abs resid.(i)
     end
   done;
-  let st =
-    { p; m; ntot; acols; alb; aub; loc; basis;
-      fac = Lu.of_matrix m binv; xb; xn; loaded = None;
-      degenerate_streak = 0; bland = false; iterations = 0 }
-  in
-  let phase1_cost = Array.make ntot 0. in
-  for i = 0 to m - 1 do
-    phase1_cost.(p.ncols + i) <- 1.
-  done;
-  let phase2_cost = Array.make ntot 0. in
-  Array.blit p.cost 0 phase2_cost 0 p.ncols;
+  Lu.load_diagonal st.fac diag;
+  let phase1_cost = st.phase1_cost in
+  load_phase2_cost st;
   try
-    optimize st phase1_cost ws max_iterations deadline;
+    optimize st phase1_cost st.ws max_iterations deadline;
     Telemetry.Metrics.add m_phase1 st.iterations;
     let p1_iters = st.iterations in
     let infeas = ref 0. in
@@ -1178,16 +1409,15 @@ let cold_solve ~max_iterations ~deadline ws p =
       done;
       st.bland <- false;
       st.degenerate_streak <- 0;
-      optimize st phase2_cost ws max_iterations deadline;
-      canonicalize st phase2_cost ws deadline;
-      rebase st ws;
-      let fac = finalize st ws in
+      optimize st st.phase2_cost st.ws max_iterations deadline;
+      let fac = canonical_epilogue st deadline in
       Telemetry.Metrics.add m_phase2 (st.iterations - p1_iters);
       let x = extract_x st in
-      if not (Float.is_finite (objective_value p x)) then
+      let obj = objective_value p x in
+      if not (Float.is_finite obj) then
         Error Robust.Failure.Numerical_instability
       else
-        Ok { status = Optimal; obj = objective_value p x; x;
+        Ok { status = Optimal; obj; x;
              iterations = st.iterations; warm = false;
              basis = Some (basis_of_state st);
              factor = (if m <= cache_max_rows then Some fac else None) }
@@ -1200,6 +1430,21 @@ let cold_solve ~max_iterations ~deadline ws p =
     Ok { status = Iteration_limit; obj = nan; x = extract_x st;
          iterations = st.iterations; warm = false; basis = None; factor = None }
   | Lp_abort f -> Error f
+
+let solve_with_state ~max_iterations ~deadline ?warm ?warm_factor st =
+  match warm with
+  | None ->
+    Telemetry.Metrics.incr m_cold;
+    cold_solve ~max_iterations ~deadline st
+  | Some wb -> (
+    match warm_attempt ~max_iterations ~deadline st wb warm_factor with
+    | res ->
+      Telemetry.Metrics.incr m_warm;
+      res
+    | exception Warm_reject ->
+      Telemetry.Metrics.incr m_warm_fallback;
+      Telemetry.Metrics.incr m_cold;
+      cold_solve ~max_iterations ~deadline st)
 
 (* Result-returning entry point: all abnormal terminations (singular basis,
    blown deadline, NaN corruption, injected faults) come back as a typed
@@ -1233,24 +1478,14 @@ let solve_r_impl ?max_iterations ?(deadline = Robust.Deadline.none) ?warm
            warm = false; basis = None; factor = None }
   end
   else begin
-    let ws = make_workspace m in
-    let warm_res =
-      match warm with
-      | None -> None
-      | Some wb ->
-        (match warm_attempt ~max_iterations ~deadline ws p wb warm_factor with
-         | res ->
-           Telemetry.Metrics.incr m_warm;
-           Some res
-         | exception Warm_reject ->
-           Telemetry.Metrics.incr m_warm_fallback;
-           None)
-    in
-    match warm_res with
-    | Some res -> res
-    | None ->
-      Telemetry.Metrics.incr m_cold;
-      cold_solve ~max_iterations ~deadline ws p
+    let st = acquire p in
+    match solve_with_state ~max_iterations ~deadline ?warm ?warm_factor st with
+    | res ->
+      release st;
+      res
+    | exception e ->
+      release st;
+      raise e
   end
 
 (* Public entry point: one span (category "simplex") and one solve-count

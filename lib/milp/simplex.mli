@@ -32,7 +32,18 @@
     bit-identical to recomputation, so warm/cold byte-identity and
     cross-worker determinism hold by construction; cache state moves wall
     time only. The dual pivot loop prices leaving rows with devex
-    reference-framework weights. *)
+    reference-framework weights.
+
+    A solve allocates only what it returns. Its working arrays (the
+    factorization engine, the column and bound copies, the pivot scratch,
+    the canonical weights and the epilogue's scratch) live in a
+    per-domain solve state sized to the problem's dimensions and reused by
+    the next solve of the same size — a branch-and-bound search solves
+    thousands of node LPs of one size in a row. A solve that finds the
+    state in use (a nested solve) takes a private fresh one. Every array is
+    re-initialized before it is read, and every floating-point operation
+    runs as it did with freshly allocated arrays, so reuse cannot move a
+    result bit. *)
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit
 

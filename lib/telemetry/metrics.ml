@@ -58,6 +58,17 @@ let incr c = if Sink.enabled () then ignore (Atomic.fetch_and_add c.cv 1)
 let add c n = if Sink.enabled () then ignore (Atomic.fetch_and_add c.cv n)
 let set_gauge g v = if Sink.enabled () then Atomic.set g.gv v
 
+(* Stage timers: a counter of nanoseconds, fed by [timer_start]/[timer_stop]
+   pairs. Disabled, a pair is one atomic load and no clock read. Enabled,
+   they read the raw clock: these run several times per node LP, where the
+   shared high-water latch of [Robust.Deadline.now] would be contended
+   between domains; a clock step backwards just adds nothing. *)
+let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let timer_start () = if Sink.enabled () then now_ns () else 0
+
+let timer_stop c t0 =
+  if t0 <> 0 then ignore (Atomic.fetch_and_add c.cv (max 0 (now_ns () - t0)))
+
 let rec atomic_add_float a d =
   let cur = Atomic.get a in
   if not (Atomic.compare_and_set a cur (cur +. d)) then atomic_add_float a d

@@ -29,6 +29,15 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val set_gauge : gauge -> float -> unit
 
+val timer_start : unit -> int
+(** Start of a timed stage: the clock in nanoseconds while telemetry is
+    enabled, [0] otherwise — one atomic load, no clock read. *)
+
+val timer_stop : counter -> int -> unit
+(** [timer_stop c t0] adds the nanoseconds elapsed since [timer_start]
+    returned [t0] to [c], and does nothing when [t0 = 0]: a stage timer is
+    an aggregate counter, not a per-event span. *)
+
 val observe : histogram -> float -> unit
 (** Record one sample: bump the first bucket whose upper bound is >= the
     value (or the overflow bucket), the sample count, and the sum. *)

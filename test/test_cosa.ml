@@ -245,6 +245,20 @@ let prop_schedule_always_valid =
       let r = Cosa.schedule ~time_limit:1. arch layer in
       Mapping.is_valid arch r.Cosa.mapping)
 
+(* A chosen mapping that needed repair is counted: the two-stage decode
+   of this layer at 3,000 nodes is repaired. *)
+let test_repairs_counted () =
+  Telemetry.Sink.set Telemetry.Sink.Memory;
+  Telemetry.Metrics.reset ();
+  Fun.protect ~finally:(fun () -> Telemetry.Sink.set Telemetry.Sink.Null) @@ fun () ->
+  let r =
+    Cosa.schedule ~strategy:Cosa.Two_stage ~node_limit:3_000 ~time_limit:60. arch
+      (Zoo.find "3_14_256_256_1")
+  in
+  check_bool "repaired" true r.Cosa.repaired;
+  check_int "cosa.repairs" 1
+    (Telemetry.Metrics.counter_value (Telemetry.Metrics.snapshot ()) "cosa.repairs")
+
 let suite =
   let qc = QCheck_alcotest.to_alcotest in
   ( "cosa",
@@ -267,6 +281,7 @@ let suite =
       Alcotest.test_case "decode rank sanity" `Quick test_decode_respects_rank;
       Alcotest.test_case "noc spatial pinning" `Quick test_noc_spatial_pinning;
       Alcotest.test_case "tuner extension" `Slow test_tuner;
+      Alcotest.test_case "repairs counted" `Quick test_repairs_counted;
       qc prop_schedule_always_valid;
     ] )
 

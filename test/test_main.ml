@@ -9,6 +9,7 @@ let () =
       Test_lu.suite;
       Test_warm.suite;
       Test_presolve.suite;
+      Test_alloc.suite;
       Test_workload.suite;
       Test_arch.suite;
       Test_mapping.suite;

@@ -196,6 +196,27 @@ let test_determinism_with_telemetry () =
   in
   Alcotest.(check string) "schedule identical with telemetry on" off on
 
+(* The aggregate stage timers of the node path read 0 while the sink is
+   off and count nanoseconds once it is armed. *)
+let test_stage_timers () =
+  let timers =
+    [ "simplex.canonicalize_ns"; "simplex.rebase_ns"; "simplex.finalize_ns"; "bb.presolve_ns" ]
+  in
+  let solve () =
+    ignore
+      (Cosa.schedule ~strategy:Cosa.Two_stage ~node_limit:3_000 ~time_limit:60. Spec.baseline
+         (Zoo.find "3_14_256_256_1"))
+  in
+  with_sink Telemetry.Sink.Memory @@ fun () ->
+  Telemetry.Sink.set Telemetry.Sink.Null;
+  solve ();
+  Telemetry.Sink.set Telemetry.Sink.Memory;
+  let off = M.snapshot () in
+  List.iter (fun t -> check_int (t ^ " with the sink off") 0 (M.counter_value off t)) timers;
+  solve ();
+  let on = M.snapshot () in
+  List.iter (fun t -> check_bool (t ^ " armed") true (M.counter_value on t > 0)) timers
+
 (* ---- structured event log --------------------------------------------- *)
 
 let with_log ?level ?rate_limit output f =
@@ -435,6 +456,7 @@ let suite =
       Alcotest.test_case "ring overwrite" `Quick test_ring_overwrite;
       Alcotest.test_case "pool metrics race-free" `Quick test_pool_metrics_race_free;
       Alcotest.test_case "determinism with telemetry" `Quick test_determinism_with_telemetry;
+      Alcotest.test_case "stage timers gated on the sink" `Quick test_stage_timers;
       Alcotest.test_case "log disabled is no-op" `Quick test_log_disabled_noop;
       Alcotest.test_case "log JSONL shape and levels" `Quick test_log_jsonl_and_levels;
       Alcotest.test_case "log rate limiting" `Quick test_log_rate_limit;
